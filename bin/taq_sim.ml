@@ -3,12 +3,18 @@
    Subcommands:
      experiment  run a paper-figure reproduction by name
      sim         ad-hoc dumbbell contention run with any queue
-     sweep       a (discipline x capacity x fair-share x rep) grid on a
-                 Domain worker pool, with an on-disk result cache
+     sweep       a (discipline x capacity x fair-share x rep) grid, or
+                 the disc x tcp x workload x fault matrix, on a Domain
+                 worker pool through the durable result cache
      faults      run the canonical fault-scenario registry and assert
                  the recovery properties it promises
+     mega        the million-flow hybrid tier, sharded over the pool
      model       evaluate the idealized Markov models
-     trace       generate a synthetic proxy access trace (CSV) *)
+     trace       generate a synthetic proxy access trace (CSV)
+     replay      replay a proxy access trace through an access link
+
+   This file parses arguments and prints: points and task keys live in
+   Taq_experiments.Sweep, the journal/cache protocol in Durable. *)
 
 open Cmdliner
 open Taq_experiments
@@ -17,6 +23,13 @@ module Check = Taq_check.Check
 module Obs = Taq_obs.Obs
 module Fault_plan = Taq_fault.Plan
 module Scenarios = Taq_fault.Scenarios
+module Durable = Taq_harness.Durable
+
+(* Setup steps return [(_, string) result]; [let*] turns the first
+   error into the command's error exit. *)
+let ( let* ) r f = match r with Ok v -> f v | Error msg -> `Error (false, msg)
+
+let violation msg = `Error (false, Printf.sprintf "invariant violation: %s" msg)
 
 (* --- invariant checking ------------------------------------------------ *)
 
@@ -103,15 +116,21 @@ let faults_arg =
            $(b,taq_sim faults --list). The plan is seeded from each run's \
            PRNG, so equal seeds give byte-identical fault timelines.")
 
-let setup_faults spec =
+(* With [run_until], a clause starting at or past the horizon — which
+   would silently inject nothing — is rejected up front with the
+   parser's actionable message. *)
+let setup_faults ?run_until spec =
   match spec with
   | None -> Ok None
-  | Some s -> (
-      match Scenarios.plan_of_string s with
-      | Ok plan ->
-          Fault_plan.set_ambient plan;
-          Ok (Some plan)
-      | Error msg -> Error msg)
+  | Some s ->
+      Result.bind (Scenarios.plan_of_string s) (fun plan ->
+          Result.map
+            (fun () ->
+              Fault_plan.set_ambient plan;
+              Some plan)
+            (match run_until with
+            | Some run_until -> Fault_plan.check_within ~run_until plan
+            | None -> Ok ()))
 
 (* --- resilience SLOs ---------------------------------------------------- *)
 
@@ -179,25 +198,6 @@ let fluid_dt_arg =
     & info [ "fluid-dt" ] ~docv:"S"
         ~doc:"Hybrid backend only: fluid integration step, seconds.")
 
-(* Unresolved backend request: capacity- and buffer-independent, so a
-   sweep can carry one spec across the grid and resolve it per point. *)
-type backend_spec = {
-  bk_kind : [ `Packet | `Hybrid ];
-  bk_bg_flows : int;
-  bk_fluid_dt : float;
-}
-
-let resolve_backend backend ~bg_flows ~fluid_dt ~rtt ~capacity_bps ~buffer_pkts
-    =
-  match backend with
-  | `Packet -> Common.Packet
-  | `Hybrid ->
-      Common.Hybrid
-        (Taq_fluid.Model.make_params ~rtt_prop:rtt ~pkt_bytes:Common.pkt_bytes
-           ~dt:fluid_dt ~n_flows:bg_flows ~capacity_bps
-           ~buffer_bytes:(buffer_pkts * Common.pkt_bytes)
-           ())
-
 (* --- experiment ------------------------------------------------------- *)
 
 let experiment_cmd =
@@ -212,29 +212,22 @@ let experiment_cmd =
     Arg.(value & flag & info [ "full" ] ~doc:"Full-fidelity parameters.")
   in
   let run name full check obs faults =
-    match setup_check check with
-    | Error msg -> `Error (false, msg)
-    | Ok enabled -> (
-        match setup_obs obs with
-        | Error msg -> `Error (false, msg)
-        | Ok obs_enabled -> (
-        match setup_faults faults with
-        | Error msg -> `Error (false, msg)
-        | Ok _plan -> (
-        match Registry.find name with
-        | Some t -> (
-            try
-              t.Registry.run ~full;
-              if enabled then
-                Printf.eprintf "invariant checks: clean (experiment %s)\n" name;
-              if obs_enabled then finish_obs (Obs.root_snapshot ());
-              `Ok ()
-            with Check.Violation msg ->
-              `Error (false, Printf.sprintf "invariant violation: %s" msg))
-        | None ->
-            `Error
-              (false, Printf.sprintf "unknown experiment %S (known: %s)" name
-                        (String.concat ", " Registry.names)))))
+    let* enabled = setup_check check in
+    let* obs_enabled = setup_obs obs in
+    let* _plan = setup_faults faults in
+    match Registry.find name with
+    | Some t -> (
+        try
+          t.Registry.run ~full;
+          if enabled then
+            Printf.eprintf "invariant checks: clean (experiment %s)\n" name;
+          if obs_enabled then finish_obs (Obs.root_snapshot ());
+          `Ok ()
+        with Check.Violation msg -> violation msg)
+    | None ->
+        `Error
+          (false, Printf.sprintf "unknown experiment %S (known: %s)" name
+                    (String.concat ", " Registry.names))
   in
   let doc = "Reproduce one of the paper's figures" in
   Cmd.v (Cmd.info "experiment" ~doc)
@@ -243,57 +236,29 @@ let experiment_cmd =
 
 (* --- sim ---------------------------------------------------------------- *)
 
-let queue_tag = function
-  | `Droptail -> "droptail"
-  | `Red -> "red"
-  | `Sfq -> "sfq"
-  | `Drr -> "drr"
-  | `Choke -> "choke"
-  | `Choked -> "choked"
-  | `Codel -> "codel"
-  | `Las -> "las"
-  | `Taq -> "taq"
-  | `Taq_ac -> "taq+ac"
+(* The dumbbell geometry shared by sim and sweep. *)
+let rtt_arg =
+  Arg.(value & opt float 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
+
+let duration_arg =
+  Arg.(
+    value & opt float 200.0
+    & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
+
+let buffer_rtts_arg =
+  Arg.(
+    value & opt float 1.0
+    & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
 
 let queue_conv =
-  let parse = function
-    | "droptail" | "dt" -> Ok `Droptail
-    | "red" -> Ok `Red
-    | "sfq" -> Ok `Sfq
-    | "drr" -> Ok `Drr
-    | "choke" -> Ok `Choke
-    | "choked" -> Ok `Choked
-    | "codel" -> Ok `Codel
-    | "las" -> Ok `Las
-    | "taq" -> Ok `Taq
-    | "taq+ac" | "taq-ac" -> Ok `Taq_ac
-    | s -> Error (`Msg (Printf.sprintf "unknown queue %S" s))
-  in
-  let print ppf q = Format.pp_print_string ppf (queue_tag q) in
-  Arg.conv (parse, print)
-
-(* Build the [Common.queue] selector for one run; TAQ variants get a
-   capacity-aware config (and the overload guard when requested). *)
-let resolve_queue ?guard_cap ~capacity_bps ~buffer_pkts = function
-  | `Droptail -> Common.Droptail
-  | `Red -> Common.Red
-  | `Sfq -> Common.Sfq
-  | `Drr -> Common.Drr
-  | `Choke -> Common.Choke
-  | `Choked -> Common.Choked
-  | `Codel -> Common.Codel
-  | `Las -> Common.Las
-  | `Taq -> Common.Taq (Common.taq_config ?guard_cap ~capacity_bps ~buffer_pkts ())
-  | `Taq_ac ->
-      Common.Taq
-        (Common.taq_config ~admission:true ?guard_cap ~capacity_bps
-           ~buffer_pkts ())
+  let parse s = Result.map_error (fun m -> `Msg m) (Common.disc_of_string s) in
+  Arg.conv (parse, Format.pp_print_string)
 
 let sim_cmd =
   let queue =
     Arg.(
       value
-      & opt queue_conv `Droptail
+      & opt queue_conv "droptail"
       & info [ "q"; "queue" ] ~docv:"QUEUE"
           ~doc:"Queue discipline: droptail, red, sfq, drr, taq or taq+ac.")
   in
@@ -304,17 +269,6 @@ let sim_cmd =
   in
   let flows =
     Arg.(value & opt int 60 & info [ "n"; "flows" ] ~docv:"N" ~doc:"Long-lived flows.")
-  in
-  let rtt =
-    Arg.(value & opt float 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
-  in
-  let duration =
-    Arg.(value & opt float 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
-  in
-  let buffer_rtts =
-    Arg.(
-      value & opt float 1.0
-      & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let guard =
@@ -340,37 +294,22 @@ let sim_cmd =
   in
   let run queue capacity flows rtt duration buffer_rtts seed guard pcap backend
       bg_flows fluid_dt check obs faults resil =
-   match setup_check check with
-   | Error msg -> `Error (false, msg)
-   | Ok check_enabled ->
-   match setup_obs obs with
-   | Error msg -> `Error (false, msg)
-   | Ok obs_enabled ->
-   match setup_faults faults with
-   | Error msg -> `Error (false, msg)
-   | Ok plan ->
-   (* A clause starting at or past the horizon would silently inject
-      nothing — reject it up front with the parser's actionable message. *)
-   match
-     match plan with
-     | Some p -> Fault_plan.check_within ~run_until:duration p
-     | None -> Ok ()
-   with
-   | Error msg -> `Error (false, msg)
-   | Ok () ->
-   match setup_resil resil with
-   | Error msg -> `Error (false, msg)
-   | Ok _resil ->
+   let* check_enabled = setup_check check in
+   let* obs_enabled = setup_obs obs in
+   let* _plan = setup_faults ~run_until:duration faults in
+   let* _resil = setup_resil resil in
    (try
     let buffer_pkts =
       Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
     in
     let backend =
-      resolve_backend backend ~bg_flows ~fluid_dt ~rtt ~capacity_bps:capacity
-        ~buffer_pkts
+      Sweep.resolve_backend
+        { Sweep.kind = backend; bg_flows; fluid_dt }
+        ~rtt ~capacity_bps:capacity ~buffer_pkts
     in
     let q =
-      resolve_queue ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts queue
+      Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts
+        queue
     in
     let env =
       Common.make_env ~backend ~queue:q ~capacity_bps:capacity ~buffer_pkts
@@ -450,63 +389,17 @@ let sim_cmd =
     if check_enabled then print_string (Check.report env.Common.check);
     if obs_enabled then finish_obs (Obs.snapshot env.Common.obs);
     `Ok ()
-   with Check.Violation msg ->
-     `Error (false, Printf.sprintf "invariant violation: %s" msg))
+   with Check.Violation msg -> violation msg)
   in
   let doc = "Ad-hoc dumbbell contention run" in
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(
       ret
-        (const run $ queue $ capacity $ flows $ rtt $ duration $ buffer_rtts
-       $ seed $ guard $ pcap $ backend_arg $ bg_flows_arg $ fluid_dt_arg
-       $ check_arg $ obs_arg $ faults_arg $ resil_arg))
+        (const run $ queue $ capacity $ flows $ rtt_arg $ duration_arg
+       $ buffer_rtts_arg $ seed $ guard $ pcap $ backend_arg $ bg_flows_arg
+       $ fluid_dt_arg $ check_arg $ obs_arg $ faults_arg $ resil_arg))
 
 (* --- sweep ---------------------------------------------------------------- *)
-
-(* One grid point: an independent simulation whose PRNG seed derives
-   from the task key (splitmix over the key), so the result is the same
-   whichever worker domain runs it, in whatever order. Output goes
-   through the Out sink so the harness captures it per task. *)
-let sweep_point ~queue ~capacity ~fair_share ~rtt ~duration ~buffer_rtts ~guard
-    ~backend ~rep ~seed () =
-  let buffer_pkts =
-    Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
-  in
-  let backend =
-    resolve_backend backend.bk_kind ~bg_flows:backend.bk_bg_flows
-      ~fluid_dt:backend.bk_fluid_dt ~rtt ~capacity_bps:capacity ~buffer_pkts
-  in
-  let q =
-    resolve_queue ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts queue
-  in
-  let flows =
-    Common.flows_for_fair_share ~capacity_bps:capacity ~fair_share_bps:fair_share
-  in
-  let env =
-    Common.make_env ~backend ~queue:q ~capacity_bps:capacity ~buffer_pkts ~seed
-      ()
-  in
-  let ids = Common.spawn_long_flows env ~n:flows ~rtt ~rtt_jitter:0.1 () in
-  Common.run env ~until:duration;
-  let out = Taq_util.Out.printf in
-  out "queue=%s backend=%s capacity=%.0f fair_share=%.0f flows=%d rep=%d seed=%d\n"
-    (Common.queue_name q)
-    (Common.backend_name backend)
-    capacity fair_share flows rep seed;
-  out "  jain_short=%.3f jain_long=%.3f utilization=%.3f loss_rate=%.4f\n"
-    (Taq_metrics.Slicer.mean_jain env.Common.slicer ~flows:ids ~first:1 ())
-    (Taq_metrics.Slicer.long_term_jain env.Common.slicer ~flows:ids)
-    (Common.utilization env)
-    (Common.measured_loss_rate env);
-  (match Common.resil_rows env with
-  | None -> ()
-  | Some rows ->
-      List.iter
-        (fun row -> out "  %s\n" (Taq_resil.Monitor.row_line row))
-        rows);
-  match env.Common.fluid with
-  | None -> ()
-  | Some src -> out "  %s\n" (Taq_fluid.Source.report src)
 
 let sweep_cmd =
   let queues =
@@ -578,17 +471,6 @@ let sweep_cmd =
       value & opt int 1
       & info [ "reps" ] ~docv:"N"
           ~doc:"Replicas per point (each derives its own seed from the task key).")
-  in
-  let rtt =
-    Arg.(value & opt float 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Propagation RTT.")
-  in
-  let duration =
-    Arg.(value & opt float 200.0 & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
-  in
-  let buffer_rtts =
-    Arg.(
-      value & opt float 1.0
-      & info [ "buffer-rtts" ] ~docv:"RTTS" ~doc:"Buffer size in RTTs of delay.")
   in
   let jobs =
     Arg.(
@@ -686,207 +568,31 @@ let sweep_cmd =
     else if (not matrix) && fault_axis <> Matrix.default_fault_axis then
       `Error (false, "--fault-axis is a matrix axis; it requires --matrix")
     else begin
-      match setup_check check with
-      | Error msg -> `Error (false, msg)
-      | Ok check_enabled ->
-      match setup_obs obs with
-      | Error msg -> `Error (false, msg)
-      | Ok obs_enabled ->
-      match setup_faults faults with
-      | Error msg -> `Error (false, msg)
-      | Ok fault_plan ->
-      (* Classic-grid hardening: a clause past the sweep duration would
-         silently inject nothing in every point. *)
-      match
-        match fault_plan with
-        | Some p -> Fault_plan.check_within ~run_until:duration p
-        | None -> Ok ()
-      with
-      | Error msg -> `Error (false, msg)
-      | Ok () ->
-      match setup_resil resil with
-      | Error msg -> `Error (false, msg)
-      | Ok resil_params ->
-      (* The task key is the point's full identity: every parameter that
-         affects the output is in it — including the canonical fault
-         plan, so faulted and fault-free sweeps never share cache
-         entries — and it doubles as the cache key and seed source. *)
-      let fault_suffix =
-        match fault_plan with
-        | Some plan when not (Fault_plan.is_empty plan) ->
-            Printf.sprintf "/faults=%s" (Fault_plan.to_string plan)
-        | Some _ | None -> ""
-      in
-      let guard_suffix =
-        match guard with
-        | Some cap -> Printf.sprintf "/guard=%d" cap
-        | None -> ""
-      in
-      (* Monitored sweeps print extra resilience lines per point, so
-         the parameters join the key: monitored and unmonitored points
-         never share cache entries. *)
-      let resil_suffix =
-        match resil_params with
-        | Some p ->
-            Printf.sprintf "/resil=%s" (Taq_resil.Policy.params_to_string p)
-        | None -> ""
-      in
-      let backend_spec =
-        { bk_kind = backend; bk_bg_flows = bg_flows; bk_fluid_dt = fluid_dt }
-      in
-      (* A point is (key, run): the key is the full identity (cache key
-         and seed source), the closure computes the point writing its
-         report through Out. The classic grid and the matrix build
-         different point lists over the same orchestration below. *)
-      let classic_points () =
-        let queues = if queues = [] then [ `Droptail; `Taq ] else queues in
-        List.concat_map
-          (fun queue ->
-            List.concat_map
-              (fun capacity ->
-                (* The fluid params (and hence the key suffix) depend on
-                   the point's capacity through the buffer sizing. *)
-                let backend_suffix =
-                  let buffer_pkts =
-                    Common.buffer_for_rtts ~capacity_bps:capacity ~rtt
-                      ~rtts:buffer_rtts
-                  in
-                  Common.backend_key_suffix
-                    (resolve_backend backend ~bg_flows ~fluid_dt ~rtt
-                       ~capacity_bps:capacity ~buffer_pkts)
-                in
-                List.concat_map
-                  (fun fair_share ->
-                    List.init reps (fun rep ->
-                        let key =
-                          Printf.sprintf
-                            "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s%s%s%s"
-                            (queue_tag queue) capacity fair_share rtt duration
-                            buffer_rtts rep fault_suffix guard_suffix
-                            resil_suffix backend_suffix
-                        in
-                        ( key,
-                          fun ~seed () ->
-                            sweep_point ~queue ~capacity ~fair_share ~rtt
-                              ~duration ~buffer_rtts ~guard
-                              ~backend:backend_spec ~rep ~seed () )))
-                  fair_shares)
-              capacities)
-          queues
-      in
-      let matrix_points () =
-        let discs =
-          if queues = [] then Matrix.disc_names else List.map queue_tag queues
-        in
-        List.concat_map
-          (fun disc ->
-            List.concat_map
-              (fun tcp ->
-                List.concat_map
-                  (fun workload ->
-                    List.map
-                      (fun fault ->
-                        (match
-                           Matrix.validate ~fault ~disc ~tcp ~workload ()
-                         with
-                        | Ok () -> ()
-                        | Error msg -> failwith msg);
-                        (* fault=none keys stay bare, so the fault axis
-                           never reseeds (or un-caches) the pre-axis
-                           matrix cells. *)
-                        let cell_fault_suffix =
-                          if fault = "none" then "" else "/fault=" ^ fault
-                        in
-                        let key =
-                          Printf.sprintf "matrix/v1/disc=%s/tcp=%s/wl=%s%s%s"
-                            disc tcp workload cell_fault_suffix guard_suffix
-                        in
-                        ( key,
-                          fun ~seed () ->
-                            Matrix.run_cell ~disc ~tcp ~workload ~fault
-                              ?guard_cap:guard ~seed () ))
-                      fault_axis)
-                  workloads)
-              tcps)
-          discs
-      in
-      match
+      let* check_enabled = setup_check check in
+      let* obs_enabled = setup_obs obs in
+      let* fault_plan = setup_faults ~run_until:duration faults in
+      let* resil_params = setup_resil resil in
+      let* points =
         if matrix then
-          try Ok (matrix_points ()) with Failure msg -> Error msg
-        else Ok (classic_points ())
-      with
-      | Error msg -> `Error (false, msg)
-      | Ok points ->
-      Harness.Pool.install_signal_cancellation ~label:"sweep" ();
-      let cache = Harness.Cache.create ~dir:results_dir () in
-      let hash key = Harness.Cache.key ~parts:[ key ] in
-      let obs_hash key = Harness.Cache.key ~parts:[ key; "obs" ] in
-      (* Durability: a write-ahead journal under the results dir records
-         every point's start and (digest-stamped) finish. --resume
-         replays it and restores journaled-complete points — payload
-         verified against the journal's digest, obs snapshot (when
-         counters are on) re-read from its own cache entry, so the
-         merged report and counter table come out byte-identical to an
-         uninterrupted run. *)
-      let journal_path = Filename.concat results_dir "sweep.journal" in
-      let restored =
-        let tbl = Hashtbl.create 64 in
-        if resume then begin
-          let finished =
-            Harness.Journal.finished (Harness.Journal.replay ~path:journal_path)
-          in
-          List.iter
-            (fun (key, _) ->
-              match Hashtbl.find_opt finished key with
-              | None -> ()
-              | Some digest -> (
-                  match Harness.Cache.find cache ~key:(hash key) with
-                  | Some output
-                    when Digest.to_hex (Digest.string output) = digest -> (
-                      if not obs_enabled then
-                        Hashtbl.replace tbl key (output, Obs.empty_snapshot)
-                      else
-                        match Harness.Cache.find cache ~key:(obs_hash key) with
-                        | Some s -> (
-                            match Obs.snapshot_of_string s with
-                            | Ok snap -> Hashtbl.replace tbl key (output, snap)
-                            | Error _ -> ())
-                        | None -> ())
-                  | Some _ | None -> ()))
-            points
-        end;
-        tbl
-      in
-      let journal =
-        if no_cache then None
+          Sweep.matrix ~discs:queues ~tcps ~workloads ~faults:fault_axis ~guard
         else
-          Some
-            (Harness.Journal.open_append ~path:journal_path
-               ~fresh:(not resume) ())
+          let setting =
+            {
+              Sweep.rtt;
+              duration;
+              buffer_rtts;
+              faults = fault_plan;
+              guard;
+              resil = resil_params;
+              backend = { Sweep.kind = backend; bg_flows; fluid_dt };
+            }
+          in
+          Ok (Sweep.grid setting ~queues ~capacities ~fair_shares ~reps)
       in
-      let cached key =
-        if no_cache then None else Harness.Cache.find cache ~key:(hash key)
-      in
-      (* Split into restored points, cache hits (served from disk) and
-         tasks to compute. *)
-      let jobs_list =
-        List.filter_map
-          (fun (key, run) ->
-            if Hashtbl.mem restored key then None
-            else
-              match cached key with
-              | Some _ -> None
-              | None ->
-                  Some
-                    (Harness.Task.make ~key (fun ~seed ->
-                         Harness.Capture.text (run ~seed))))
-          points
-      in
-      let point_set = Hashtbl.create 64 in
-      List.iter (fun (key, _) -> Hashtbl.replace point_set key ()) points;
+      Harness.Pool.install_signal_cancellation ~label:"sweep" ();
       (* Deliberately unhealthy tasks: exercise the pool's quarantine
-         path in-situ (CI runs this). They are excluded from the exit
-         status below. *)
+         path in-situ (CI runs this). They bypass the cache and journal
+         and are excluded from the exit status below. *)
       let chaos_tasks =
         if not chaos then []
         else
@@ -900,201 +606,114 @@ let sweep_cmd =
                 "unreachable");
           ]
       in
-      (* Stores and journal records happen as each point finishes (not
-         after the pool drains): a SIGKILL one task later loses nothing
-         already completed. The payload is persisted before the Finish
-         record, so the journal never testifies to an absent entry. *)
-      let on_start key =
-        match journal with
-        | Some j when Hashtbl.mem point_set key ->
-            Harness.Journal.append j (Harness.Journal.Start key)
-        | Some _ | None -> ()
-      in
-      let on_done ~completed ~total (r : string Harness.Pool.result) =
+      let progress ~completed ~total (r : string Harness.Pool.result) =
         Printf.eprintf "[%d/%d] %s (%.1f s, %s)\n%!" completed total
-          r.Harness.Pool.key r.Harness.Pool.elapsed_s (Harness.Pool.status r);
-        match r.Harness.Pool.value with
-        | Ok output when (not no_cache) && Hashtbl.mem point_set r.Harness.Pool.key ->
-            let key = r.Harness.Pool.key in
-            Harness.Cache.store cache ~key:(hash key) output;
-            if obs_enabled then
-              Harness.Cache.store cache ~key:(obs_hash key)
-                (Obs.snapshot_to_string r.Harness.Pool.obs);
-            (match journal with
-            | Some j ->
-                Harness.Journal.append j
-                  (Harness.Journal.Finish
-                     { key; digest = Digest.to_hex (Digest.string output) })
-            | None -> ())
-        | _ -> ()
+          r.Harness.Pool.key r.Harness.Pool.elapsed_s (Harness.Pool.status r)
       in
-      let computed =
-        Harness.Pool.run ~jobs ?timeout_s ~retries ~on_start ~on_done
-          (jobs_list @ chaos_tasks)
+      (* Durability: a write-ahead journal under the results dir records
+         every point's start and (digest-stamped) finish; --resume
+         restores journaled-complete points, so the merged report and
+         counter table come out byte-identical to an uninterrupted
+         run. *)
+      let* all =
+        try
+          Ok
+            (Durable.run ~jobs ?timeout_s ~retries
+               ?cache:
+                 (if no_cache then None
+                  else Some (Harness.Cache.create ~dir:results_dir ()))
+               ~journal:(Filename.concat results_dir "sweep.journal")
+               ~resume ~on_done:progress ~transient:chaos_tasks
+               Durable.identity
+               (List.map Sweep.task points))
+        with Invalid_argument msg -> Error msg
       in
-      (match journal with Some j -> Harness.Journal.close j | None -> ());
-      let by_key = Hashtbl.create 64 in
-      List.iter
-        (fun (r : string Harness.Pool.result) ->
-          Hashtbl.replace by_key r.Harness.Pool.key r)
-        computed;
+      let n_points = List.length points in
+      let results = List.filteri (fun i _ -> i < n_points) all
+      and chaos = List.filteri (fun i _ -> i >= n_points) all in
       let summary =
         Taq_util.Table.create ~columns:[ "task"; "seconds"; "source" ]
       in
-      let hits = ref 0 and misses = ref 0 and failures = ref 0 in
-      let n_restored = ref 0 and n_cancelled = ref 0 in
-      (* Outputs in points order, for the matrix report below. *)
-      let outputs = ref [] in
-      let emit key output =
-        outputs := (key, output) :: !outputs;
-        print_string output
+      let row ?(timed = true) (r : _ Durable.result) source =
+        Taq_util.Table.add_row summary
+          [
+            r.Durable.key;
+            (if timed then Printf.sprintf "%.2f" r.Durable.elapsed_s else "-");
+            source;
+          ]
       in
-      List.iter
-        (fun (key, _) ->
-          match Hashtbl.find_opt restored key with
-          | Some (output, _) ->
-              incr n_restored;
-              emit key output;
-              Taq_util.Table.add_row summary [ key; "-"; "journal" ]
-          | None -> (
-              match Hashtbl.find_opt by_key key with
-              | Some r when Harness.Pool.cancelled r ->
-                  incr n_cancelled;
-                  Taq_util.Table.add_row summary [ key; "-"; "cancelled" ]
-              | Some r -> (
-                  match r.Harness.Pool.value with
-                  | Ok output ->
-                      (* Already stored and journaled by on_done. *)
-                      incr misses;
-                      emit key output;
-                      Taq_util.Table.add_row summary
-                        [
-                          key;
-                          Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
-                          "computed";
-                        ]
-                  | Error msg ->
-                      incr failures;
-                      Printf.printf "%s FAILED: %s\n" key msg;
-                      Taq_util.Table.add_row summary
-                        [
-                          key;
-                          Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
-                          Harness.Pool.status r;
-                        ])
-              | None -> (
-                  (* Not computed this run: serve from the cache. A hit
-                     that went stale between the probe and here (e.g. a
-                     corrupted entry evicted by a concurrent reader) is a
-                     harness bug only if it was never computed at all. *)
-                  match Harness.Cache.find cache ~key:(hash key) with
-                  | Some output ->
-                      incr hits;
-                      emit key output;
-                      Taq_util.Table.add_row summary [ key; "-"; "cache hit" ]
-                  | None -> assert false)))
-        points;
-      (* The merged matrix report: one row per cell in matrix order,
-         with the per-cell fairness and drop-rate columns parsed back
-         out of the cell lines. Byte-identical at any --jobs because
-         the outputs above are. *)
-      if matrix then begin
-        let report =
-          Taq_util.Table.create
-            ~columns:
-              [ "disc"; "tcp"; "workload"; "fault"; "jain"; "drop_rate";
-                "util"; "completed"; "rec_jain"; "rec_drop"; "rec_occ" ]
-        in
-        List.iter
-          (fun (_, output) ->
-            (* One cell per point output, so the output's resil lines
-               belong to the cell parsed from the same text. *)
-            let resil = Matrix.resil_of_output output in
-            let recover_of metric =
-              match
-                List.find_opt
-                  (fun kv -> List.assoc_opt "metric" kv = Some metric)
-                  resil
-              with
-              | Some kv -> (
-                  match List.assoc_opt "recover_s" kv with
-                  | Some v -> v
-                  | None -> "?")
-              | None -> "-"
+      (* Outputs in point order (failures reported in place), for the
+         matrix report below. *)
+      let outputs =
+        List.filter_map
+          (fun (r : string Durable.result) ->
+            let emit ?timed source output =
+              print_string output;
+              row ?timed r source;
+              Some output
             in
-            List.iter
-              (fun cell ->
-                let v k =
-                  match List.assoc_opt k cell with Some v -> v | None -> "?"
-                in
-                Taq_util.Table.add_row report
-                  [
-                    v "disc"; v "tcp"; v "wl"; v "fault"; v "jain";
-                    v "drop_rate"; v "util"; v "completed";
-                    recover_of "jain"; recover_of "drop_rate";
-                    recover_of "occupancy";
-                  ])
-              (Matrix.cells_of_output output))
-          (List.rev !outputs);
-        Printf.printf "\n-- matrix report (%d cell(s)) --\n\n"
-          (List.length points);
-        Taq_util.Table.print ~oc:stdout report
+            match r.Durable.outcome with
+            | Durable.Restored output -> emit ~timed:false "journal" output
+            | Durable.Hit output -> emit ~timed:false "cache hit" output
+            | Durable.Computed output -> emit "computed" output
+            | Durable.Failed msg ->
+                Printf.printf "%s FAILED: %s\n" r.Durable.key msg;
+                row r r.Durable.status;
+                None
+            | Durable.Cancelled ->
+                row ~timed:false r "cancelled";
+                None)
+          results
+      in
+      let count p =
+        List.length (List.filter (fun r -> p r.Durable.outcome) results)
+      in
+      let hits = count (function Durable.Hit _ -> true | _ -> false) in
+      let misses = count (function Durable.Computed _ -> true | _ -> false) in
+      let failures = count (function Durable.Failed _ -> true | _ -> false) in
+      let cancelled = count (( = ) Durable.Cancelled) in
+      if matrix then begin
+        Printf.printf "\n-- matrix report (%d cell(s)) --\n\n" n_points;
+        Taq_util.Table.print ~oc:stdout (Sweep.matrix_report outputs)
       end;
       (* Chaos tasks are reported but never gate the exit status. *)
       List.iter
-        (fun (r : string Harness.Pool.result) ->
-          if String.length r.Harness.Pool.key >= 6
-             && String.sub r.Harness.Pool.key 0 6 = "chaos/" then
-            Taq_util.Table.add_row summary
-              [
-                r.Harness.Pool.key;
-                Printf.sprintf "%.2f" r.Harness.Pool.elapsed_s;
-                Printf.sprintf "chaos (%s)" (Harness.Pool.status r);
-              ])
-        computed;
-      Printf.printf "\n-- sweep summary (%d points, jobs=%d) --\n\n"
-        (List.length points) jobs;
+        (fun (r : _ Durable.result) ->
+          row r (Printf.sprintf "chaos (%s)" r.Durable.status))
+        chaos;
+      Printf.printf "\n-- sweep summary (%d points, jobs=%d) --\n\n" n_points
+        jobs;
       Taq_util.Table.print ~oc:stdout summary;
-      Printf.printf "\ncache: %d hits, %d misses%s%s (dir: %s)\n" !hits !misses
-        (if resume then Printf.sprintf ", %d restored" !n_restored else "")
+      Printf.printf "\ncache: %d hits, %d misses%s%s (dir: %s)\n" hits misses
+        (if resume then
+           Printf.sprintf ", %d restored"
+             (count (function Durable.Restored _ -> true | _ -> false))
+         else "")
         (if no_cache then " [cache disabled]" else "")
         results_dir;
-      if obs_enabled then begin
-        (* Per-task snapshots (collected by the pool around each
-           attempt, or restored from the journal's obs entries) merged
-           in input order, plus the root collector (instances created
-           outside any task, e.g. the cache). Integer sums commute, so
-           --jobs 4 prints exactly what --jobs 1 prints — and a resumed
-           run prints exactly what an uninterrupted one would, modulo
-           the root collector's own journal./cache./pool. infra
-           counters, which reflect real process history. *)
-        let task_snaps =
-          List.filter_map
-            (fun (key, _) ->
-              match Hashtbl.find_opt restored key with
-              | Some (_, snap) -> Some snap
-              | None ->
-                  Option.map
-                    (fun (r : string Harness.Pool.result) ->
-                      r.Harness.Pool.obs)
-                    (Hashtbl.find_opt by_key key))
-            points
-        in
-        finish_obs (Obs.merge_all (Obs.root_snapshot () :: task_snaps))
-      end;
-      if !n_cancelled > 0 then begin
-        Printf.printf
-          "\nsweep cancelled: %d point(s) not executed%s\n" !n_cancelled
+      (* Per-point snapshots merged in input order, plus the root
+         collector (instances created outside any task, e.g. the
+         cache): --jobs 4 prints exactly what --jobs 1 prints, and a
+         resumed run what an uninterrupted one would, modulo the root
+         collector's journal./cache./pool. infra counters. *)
+      if obs_enabled then
+        finish_obs
+          (Obs.merge_all
+             (Obs.root_snapshot ()
+             :: List.map (fun r -> r.Durable.obs) results));
+      if cancelled > 0 then begin
+        Printf.printf "\nsweep cancelled: %d point(s) not executed%s\n"
+          cancelled
           (if no_cache then ""
            else " — rerun with --resume to finish from the journal");
         Stdlib.exit Harness.Pool.cancelled_exit_code
       end;
-      if !failures > 0 then
-        `Error (false, Printf.sprintf "%d sweep point(s) failed" !failures)
+      if failures > 0 then
+        `Error (false, Printf.sprintf "%d sweep point(s) failed" failures)
       else begin
         if check_enabled then
           Printf.printf "invariant checks: clean (%d computed point(s))\n"
-            !misses;
+            misses;
         `Ok ()
       end
     end
@@ -1104,9 +723,9 @@ let sweep_cmd =
     Term.(
       ret
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
-       $ capacities $ fair_shares $ reps $ rtt $ duration $ buffer_rtts
-       $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg $ jobs
-       $ results_dir $ no_cache $ resume $ timeout_s $ retries $ chaos
+       $ capacities $ fair_shares $ reps $ rtt_arg $ duration_arg
+       $ buffer_rtts_arg $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg
+       $ jobs $ results_dir $ no_cache $ resume $ timeout_s $ retries $ chaos
        $ check_arg $ obs_arg $ faults_arg $ resil_arg))
 
 (* --- faults --------------------------------------------------------------- *)
@@ -1131,7 +750,7 @@ let faults_cmd =
   let queues =
     Arg.(
       value
-      & opt (list queue_conv) [ `Droptail; `Taq ]
+      & opt (list queue_conv) [ "droptail"; "taq" ]
       & info [ "queues" ] ~docv:"QUEUES"
           ~doc:"Comma-separated disciplines to drill each scenario against.")
   in
@@ -1153,126 +772,67 @@ let faults_cmd =
       `Ok ()
     end
     else
-      match setup_check check with
-      | Error msg -> `Error (false, msg)
-      | Ok check_enabled -> (
-          match setup_obs obs with
-          | Error msg -> `Error (false, msg)
-          | Ok obs_enabled -> (
-          match setup_resil resil with
-          | Error msg -> `Error (false, msg)
-          | Ok _resil -> (
-          let scenarios =
-            match scenario with
-            | None -> Ok Scenarios.all
-            | Some name -> (
-                match Scenarios.find name with
-                | Some s -> Ok [ s ]
-                | None ->
-                    Error
-                      (Printf.sprintf "unknown scenario %S (known: %s)" name
-                         (String.concat ", " Scenarios.names)))
-          in
-          match scenarios with
-          | Error msg -> `Error (false, msg)
-          | Ok scenarios -> (
-              try
-                let queue_of = function
-                  | `Droptail -> Common.Droptail
-                  | `Red -> Common.Red
-                  | `Sfq -> Common.Sfq
-                  | `Drr -> Common.Drr
-                  | `Choke -> Common.Choke
-                  | `Choked -> Common.Choked
-                  | `Codel -> Common.Codel
-                  | `Las -> Common.Las
-                  | `Taq | `Taq_ac -> Common.taq_marker
-                in
-                let tasks =
-                  List.concat_map
-                    (fun s ->
-                      (* A restart-only plan injects nothing without a
-                         middlebox: drill it against TAQ only. *)
-                      let queues =
-                        if Fault_plan.middlebox_only s.Scenarios.plan then
-                          List.filter
-                            (function `Taq | `Taq_ac -> true | _ -> false)
-                            queues
-                        else queues
-                      in
-                      List.map
-                        (fun q ->
-                          let key =
-                            Printf.sprintf "faults/v1/%s/queue=%s"
-                              s.Scenarios.name
-                              (Common.queue_name (queue_of q))
-                          in
-                          Harness.Task.make ~key (fun ~seed ->
-                              Fault_drill.run ~scenario:s.Scenarios.name
-                                ~plan:s.Scenarios.plan ~queue:(queue_of q)
-                                ~seed ()))
-                        queues)
-                    scenarios
-                in
-                Harness.Pool.install_signal_cancellation ~label:"fault drills"
-                  ();
-                let results =
-                  Harness.Pool.run ~jobs
-                    ~on_done:(fun ~completed ~total r ->
-                      Printf.eprintf "[%d/%d] %s (%.1f s)\n%!" completed total
-                        r.Harness.Pool.key r.Harness.Pool.elapsed_s)
-                    tasks
-                in
-                (* A SIGINT/SIGTERM mid-registry prints the drills that
-                   did finish and exits with the cancellation code. *)
-                let finished, cancelled =
-                  List.partition
-                    (fun r -> not (Harness.Pool.cancelled r))
-                    results
-                in
-                let outcomes =
-                  List.map Harness.Pool.value_exn finished
-                in
-                Fault_drill.print outcomes;
-                if obs_enabled then
-                  finish_obs
-                    (Obs.merge_all
-                       (Obs.root_snapshot ()
-                       :: List.map
-                            (fun (r : _ Harness.Pool.result) ->
-                              r.Harness.Pool.obs)
-                            finished));
-                if cancelled <> [] then begin
-                  Printf.printf
-                    "\nfault drills cancelled: %d drill(s) not executed\n"
-                    (List.length cancelled);
-                  Stdlib.exit Harness.Pool.cancelled_exit_code
-                end;
-                let bad =
-                  List.filter (fun o -> not o.Fault_drill.ok) outcomes
-                in
-                if bad <> [] then
-                  `Error
-                    (false,
-                     Printf.sprintf "%d fault drill(s) failed: %s"
-                       (List.length bad)
-                       (String.concat "; "
-                          (List.map
-                             (fun o ->
-                               Printf.sprintf "%s/%s (%s)"
-                                 o.Fault_drill.scenario o.Fault_drill.queue
-                                 (String.concat "; " o.Fault_drill.problems))
-                             bad)))
-                else begin
-                  if check_enabled then
-                    Printf.printf "invariant checks: clean (%d drill(s))\n"
-                      (List.length outcomes);
-                  `Ok ()
-                end
-              with
-              | Check.Violation msg ->
-                  `Error (false, Printf.sprintf "invariant violation: %s" msg)
-              | Failure msg -> `Error (false, msg)))))
+      let* check_enabled = setup_check check in
+      let* obs_enabled = setup_obs obs in
+      let* _resil = setup_resil resil in
+      let* scenarios =
+        match scenario with
+        | None -> Ok Scenarios.all
+        | Some name -> (
+            match Scenarios.find name with
+            | Some s -> Ok [ s ]
+            | None ->
+                Error
+                  (Printf.sprintf "unknown scenario %S (known: %s)" name
+                     (String.concat ", " Scenarios.names)))
+      in
+      let* drills = Sweep.drills ~scenarios ~queues in
+      try
+        Harness.Pool.install_signal_cancellation ~label:"fault drills" ();
+        let results =
+          Harness.Pool.run ~jobs
+            ~on_done:(fun ~completed ~total r ->
+              Printf.eprintf "[%d/%d] %s (%.1f s)\n%!" completed total
+                r.Harness.Pool.key r.Harness.Pool.elapsed_s)
+            (List.map Sweep.task drills)
+        in
+        (* A SIGINT/SIGTERM mid-registry prints the drills that did
+           finish and exits with the cancellation code. *)
+        let finished, cancelled =
+          List.partition (fun r -> not (Harness.Pool.cancelled r)) results
+        in
+        let outcomes = List.map Harness.Pool.value_exn finished in
+        Fault_drill.print outcomes;
+        if obs_enabled then
+          finish_obs
+            (Obs.merge_all
+               (Obs.root_snapshot ()
+               :: List.map (fun r -> r.Harness.Pool.obs) finished));
+        if cancelled <> [] then begin
+          Printf.printf "\nfault drills cancelled: %d drill(s) not executed\n"
+            (List.length cancelled);
+          Stdlib.exit Harness.Pool.cancelled_exit_code
+        end;
+        match List.filter (fun o -> not o.Fault_drill.ok) outcomes with
+        | [] ->
+            if check_enabled then
+              Printf.printf "invariant checks: clean (%d drill(s))\n"
+                (List.length outcomes);
+            `Ok ()
+        | bad ->
+            `Error
+              ( false,
+                Printf.sprintf "%d fault drill(s) failed: %s" (List.length bad)
+                  (String.concat "; "
+                     (List.map
+                        (fun o ->
+                          Printf.sprintf "%s/%s (%s)" o.Fault_drill.scenario
+                            o.Fault_drill.queue
+                            (String.concat "; " o.Fault_drill.problems))
+                        bad)) )
+      with
+      | Check.Violation msg -> violation msg
+      | Failure msg | Invalid_argument msg -> `Error (false, msg)
   in
   let doc = "Run the canonical fault-scenario registry and assert recovery" in
   Cmd.v (Cmd.info "faults" ~doc)
@@ -1369,7 +929,7 @@ let replay_cmd =
   let queue =
     Arg.(
       value
-      & opt queue_conv `Droptail
+      & opt queue_conv "droptail"
       & info [ "q"; "queue" ] ~docv:"QUEUE"
           ~doc:"Queue discipline: droptail, red, sfq, drr, taq or taq+ac.")
   in
@@ -1385,23 +945,8 @@ let replay_cmd =
   in
   let run trace_path queue capacity duration =
     let trace = Taq_workload.Trace.load_csv ~path:trace_path in
-    let q =
-      match queue with
-      | `Taq -> Common.taq_marker
-      | `Taq_ac ->
-          Common.Taq
-            (Common.taq_config ~admission:true ~capacity_bps:capacity
-               ~buffer_pkts:
-                 (Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:0.3
-                    ~rtts:1.0)
-               ())
-      | spec ->
-          resolve_queue ~capacity_bps:capacity
-            ~buffer_pkts:
-              (Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:0.3
-                 ~rtts:1.0)
-            spec
-    in
+    (* Fig1_scatter sizes TAQ for the replay itself. *)
+    let q = Common.marker_of_disc queue in
     let p =
       {
         Fig1_scatter.default with
@@ -1540,12 +1085,8 @@ let mega_cmd =
   in
   let run flows shards capacity fg_flows rtt duration fluid_dt seed jobs
       results_dir do_checkpoint resume check obs =
-   match setup_check check with
-   | Error msg -> `Error (false, msg)
-   | Ok check_enabled ->
-   match setup_obs obs with
-   | Error msg -> `Error (false, msg)
-   | Ok obs_enabled ->
+   let* check_enabled = setup_check check in
+   let* obs_enabled = setup_obs obs in
    (try
     let p =
       {
@@ -1564,23 +1105,15 @@ let mega_cmd =
       if not (do_checkpoint || resume) then None
       else begin
         Harness.Pool.install_signal_cancellation ~label:"mega run" ();
-        let journal =
-          Harness.Journal.open_append
-            ~path:(Filename.concat results_dir "mega.journal")
-            ~fresh:(not resume) ()
-        in
         Some
           {
             Mega_tier.ck_cache = Harness.Cache.create ~dir:results_dir ();
-            ck_journal = Some journal;
+            ck_journal = Some (Filename.concat results_dir "mega.journal");
             ck_resume = resume;
           }
       end
     in
     let r = Mega_tier.run ~jobs ?checkpoint p in
-    (match checkpoint with
-    | Some { Mega_tier.ck_journal = Some j; _ } -> Harness.Journal.close j
-    | Some _ | None -> ());
     Mega_tier.print r;
     if check_enabled then
       Printf.printf "invariant checks: clean (%d shard(s))\n" shards;
@@ -1594,8 +1127,7 @@ let mega_cmd =
          "mega run cancelled: completed shards are journaled — rerun with \
           --resume to finish\n";
        Stdlib.exit Harness.Pool.cancelled_exit_code
-   | Check.Violation msg ->
-       `Error (false, Printf.sprintf "invariant violation: %s" msg)
+   | Check.Violation msg -> violation msg
    | Failure msg -> `Error (false, msg))
   in
   let doc = "Million-flow hybrid tier on the Domain worker pool" in

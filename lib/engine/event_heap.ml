@@ -7,8 +7,9 @@
    (the FIFO tie-break) and an [int array] of payloads — and sift-up /
    sift-down move all three in lockstep, so steady-state push/pop
    allocates nothing. Payloads are ints because the simulator stores
-   slot/generation event handles; see [Event_heap_ref] for the retained
-   boxed reference implementation the differential tests run against.
+   slot/generation event handles; the retained boxed reference
+   implementation the differential tests run against lives in
+   test/event_heap_ref.ml.
    (A 4-ary variant was measured and lost to the binary sift on the
    fig3 workload, so the arity stays 2.) *)
 

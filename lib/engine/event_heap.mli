@@ -3,9 +3,9 @@
     Ties on time are broken by insertion order (FIFO), which the
     network simulation relies on for deterministic packet ordering.
     Payloads are ints (the simulator stores event-slot handles);
-    steady-state push/pop allocates nothing. {!Event_heap_ref} is the
-    retained boxed implementation used as a differential-testing
-    reference. *)
+    steady-state push/pop allocates nothing. The retained boxed
+    implementation used as a differential-testing reference lives in
+    [test/event_heap_ref.ml]. *)
 
 type t
 

@@ -20,16 +20,36 @@ type queue =
   | Las
   | Taq of Taq_config.t
 
+(* The one discipline-name table: the CLIs, task keys, matrix cells
+   and reports all name disciplines through it. TAQ rows carry only
+   the admission flag; [queue_of_disc] builds the capacity-aware
+   config per run. *)
+let disc_table =
+  [
+    ("droptail", `Queue Droptail);
+    ("red", `Queue Red);
+    ("sfq", `Queue Sfq);
+    ("drr", `Queue Drr);
+    ("choke", `Queue Choke);
+    ("choked", `Queue Choked);
+    ("codel", `Queue Codel);
+    ("las", `Queue Las);
+    ("taq", `Taq false);
+    ("taq+ac", `Taq true);
+  ]
+
+let disc_aliases = [ ("dt", "droptail"); ("taq-ac", "taq+ac") ]
+
+let disc_names = List.map fst disc_table
+
+let disc_of_string s =
+  let s = Option.value (List.assoc_opt s disc_aliases) ~default:s in
+  if List.mem_assoc s disc_table then Ok s
+  else Error (Printf.sprintf "unknown queue %S" s)
+
 let queue_name = function
-  | Droptail -> "droptail"
-  | Red -> "red"
-  | Sfq -> "sfq"
-  | Drr -> "drr"
-  | Choke -> "choke"
-  | Choked -> "choked"
-  | Codel -> "codel"
-  | Las -> "las"
   | Taq _ -> "taq"
+  | q -> fst (List.find (fun (_, row) -> row = `Queue q) disc_table)
 
 type env = {
   sim : Sim.t;
@@ -49,11 +69,6 @@ type env = {
 type backend = Packet | Hybrid of Taq_fluid.Model.params
 
 let backend_name = function Packet -> "packet" | Hybrid _ -> "hybrid"
-
-let backend_key_suffix = function
-  | Packet -> ""
-  | Hybrid p ->
-      Printf.sprintf "/backend=hybrid/fluid=%s" (Taq_fluid.Model.params_to_string p)
 
 let pkt_bytes = 500
 
@@ -261,7 +276,23 @@ let buffer_for_rtts ~capacity_bps ~rtt ~rtts =
   Stdlib.max 1
     (int_of_float (capacity_bps *. rtt *. rtts /. (8.0 *. float_of_int pkt_bytes)))
 
+let queue_of_disc ?guard_cap ~capacity_bps ~buffer_pkts name =
+  match List.assoc_opt name disc_table with
+  | Some (`Queue q) -> q
+  | Some (`Taq admission) ->
+      Taq (taq_config ~admission ?guard_cap ~capacity_bps ~buffer_pkts ())
+  | None -> invalid_arg (Printf.sprintf "Common.queue_of_disc: %S" name)
+
+let sized ~capacity_bps ~buffer_pkts q =
+  queue_of_disc ~capacity_bps ~buffer_pkts (queue_name q)
+
 let taq_marker =
   (* Placeholder replaced with a per-run capacity-aware config by the
      experiment drivers. *)
   Taq (Taq_config.default ~capacity_pkts:1 ~capacity_bps:1.0)
+
+let marker_of_disc name =
+  match List.assoc_opt name disc_table with
+  | Some (`Queue q) -> q
+  | Some (`Taq _) -> taq_marker
+  | None -> invalid_arg (Printf.sprintf "Common.marker_of_disc: %S" name)

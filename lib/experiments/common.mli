@@ -14,7 +14,19 @@ type queue =
   | Las  (** least-attained-service + per-flow fair dropping *)
   | Taq of Taq_core.Taq_config.t
 
+val disc_names : string list
+(** Every canonical discipline name, in table order: droptail, red,
+    sfq, drr, choke, choked, codel, las, taq, taq+ac. This one table
+    names disciplines for the CLIs, task keys, matrix cells and
+    reports. *)
+
+val disc_of_string : string -> (string, string) result
+(** The canonical name of a discipline name or alias ([dt],
+    [taq-ac]); [Error "unknown queue ..."] otherwise. *)
+
 val queue_name : queue -> string
+(** The report name of a selector: its table name, and ["taq"] for
+    every TAQ config (admission or not). *)
 
 type env = {
   sim : Taq_engine.Sim.t;
@@ -54,11 +66,6 @@ type backend = Packet | Hybrid of Taq_fluid.Model.params
 
 val backend_name : backend -> string
 (** ["packet" | "hybrid"]. *)
-
-val backend_key_suffix : backend -> string
-(** What a sweep/mega task key must append so that hybrid points never
-    alias packet points in the cache: [""] for [Packet],
-    ["/backend=hybrid/fluid=<canonical params>"] for [Hybrid]. *)
 
 val make_env :
   ?check:Taq_check.Check.t ->
@@ -163,7 +170,23 @@ val buffer_for_rtts :
   capacity_bps:float -> rtt:float -> rtts:float -> int
 (** Buffer size in packets equal to [rtts] round-trips of delay. *)
 
+val queue_of_disc :
+  ?guard_cap:int -> capacity_bps:float -> buffer_pkts:int -> string -> queue
+(** The selector for a canonical name; the TAQ rows get {!taq_config}
+    for this capacity and buffer ([taq+ac] with admission control).
+    @raise Invalid_argument on a name outside {!disc_names}. *)
+
+val sized : capacity_bps:float -> buffer_pkts:int -> queue -> queue
+(** [q] re-resolved through the table at this capacity and buffer:
+    any TAQ selector (e.g. {!taq_marker}) becomes plain TAQ sized for
+    the run; other disciplines are unchanged. *)
+
 val taq_marker : queue
 (** A TAQ queue selector whose config is rebuilt per run from the
     run's capacity and buffer (experiment drivers replace it via
-    {!taq_config}). *)
+    {!sized}). *)
+
+val marker_of_disc : string -> queue
+(** The selector for drivers that size TAQ themselves (fault drills,
+    trace replay): both TAQ rows give {!taq_marker}.
+    @raise Invalid_argument on a name outside {!disc_names}. *)

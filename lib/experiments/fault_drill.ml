@@ -36,12 +36,9 @@ let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
        table is one of the guard's pressure signals. *)
     match queue with
     | Common.Taq _ when flood ->
-        Common.Taq
-          (Common.taq_config ~admission:true ~guard_cap:flood_guard_cap
-             ~capacity_bps ~buffer_pkts ())
-    | Common.Taq _ ->
-        Common.Taq (Common.taq_config ~capacity_bps ~buffer_pkts ())
-    | q -> q
+        Common.queue_of_disc ~guard_cap:flood_guard_cap ~capacity_bps
+          ~buffer_pkts "taq+ac"
+    | q -> Common.sized ~capacity_bps ~buffer_pkts q
   in
   let env = Common.make_env ~faults:plan ~queue ~capacity_bps ~buffer_pkts ~seed () in
   let completed = ref 0 in

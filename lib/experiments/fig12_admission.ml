@@ -45,20 +45,12 @@ type bucket_result = {
   cdf : Cdf.t option;
 }
 
-type queue_choice = Dt | Taq_ac
-
-let run_queue p choice =
+let run_queue p queue_name =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
   in
-  let queue, queue_name =
-    match choice with
-    | Dt -> (Common.Droptail, "droptail")
-    | Taq_ac ->
-        ( Common.Taq
-            (Common.taq_config ~admission:true ~capacity_bps:p.capacity_bps
-               ~buffer_pkts ()),
-          "taq+ac" )
+  let queue =
+    Common.queue_of_disc ~capacity_bps:p.capacity_bps ~buffer_pkts queue_name
   in
   let env =
     Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
@@ -138,7 +130,7 @@ let run_queue p choice =
   in
   [ collect "10-20KB" p.small_bucket; collect "100-110KB" p.large_bucket ]
 
-let run p = run_queue p Dt @ run_queue p Taq_ac
+let run p = run_queue p "droptail" @ run_queue p "taq+ac"
 
 let print results =
   let table =

@@ -48,13 +48,7 @@ let run_one p ~fair_share_pkts ~buffer_rtts ~seed =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt
       ~rtts:buffer_rtts
   in
-  let queue =
-    match p.queue with
-    | Common.Taq _ ->
-        Common.Taq
-          (Common.taq_config ~capacity_bps:p.capacity_bps ~buffer_pkts ())
-    | q -> q
-  in
+  let queue = Common.sized ~capacity_bps:p.capacity_bps ~buffer_pkts p.queue in
   let env =
     Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~slice:p.slice ~seed ()

@@ -66,13 +66,7 @@ let run_seed p ~queue ~capacity_bps ~fair_share_bps ~seed =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps ~rtt:p.rtt ~rtts:p.buffer_rtts
   in
-  let queue =
-    (* TAQ needs the per-run capacity in its config. *)
-    match queue with
-    | Common.Taq _ ->
-        Common.Taq (Common.taq_config ~capacity_bps ~buffer_pkts ())
-    | q -> q
-  in
+  let queue = Common.sized ~capacity_bps ~buffer_pkts queue in
   let env =
     Common.make_env ~queue ~capacity_bps ~buffer_pkts ~slice:p.slice ~seed ()
   in

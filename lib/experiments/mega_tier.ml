@@ -2,6 +2,7 @@ module Mega = Taq_workload.Mega
 module Model = Taq_fluid.Model
 module Source = Taq_fluid.Source
 module Harness = Taq_harness
+module Durable = Taq_harness.Durable
 module Out = Taq_util.Out
 
 type params = {
@@ -51,7 +52,7 @@ type result = {
 
 type checkpoint = {
   ck_cache : Harness.Cache.t;
-  ck_journal : Harness.Journal.t option;
+  ck_journal : string option;
   ck_resume : bool;
 }
 
@@ -144,148 +145,59 @@ let shard_of_wire w =
               })
             (Mega.summary_of_wire tail))
 
-let obs_entry_key key = Harness.Cache.key ~parts:[ key; "obs" ]
-
-let payload_entry_key key = Harness.Cache.key ~parts:[ key ]
-
-(* A journaled shard is restorable iff the journal's digest matches the
-   cache payload, the payload parses, and (when counters are on) its
-   obs snapshot entry parses too — any doubt means recompute. *)
-let restore_shard ck ~finished ~key ~shard =
-  match Hashtbl.find_opt finished key with
-  | None -> None
-  | Some digest -> (
-      match Harness.Cache.find ck.ck_cache ~key:(payload_entry_key key) with
-      | None -> None
-      | Some payload when Digest.to_hex (Digest.string payload) <> digest ->
-          None
-      | Some payload -> (
-          match shard_of_wire payload with
-          | Some r when r.shard = shard ->
-              if not (Taq_obs.Obs.policy_enabled ()) then
-                Some (r, Taq_obs.Obs.empty_snapshot)
-              else (
-                match
-                  Harness.Cache.find ck.ck_cache ~key:(obs_entry_key key)
-                with
-                | None -> None
-                | Some s -> (
-                    match Taq_obs.Obs.snapshot_of_string s with
-                    | Ok snap -> Some (r, snap)
-                    | Error _ -> None))
-          | _ -> None))
-
-(* Persist a completed shard and only then journal its Finish record:
-   the journal must never testify to a payload that is not on disk. *)
-let checkpoint_shard ck ~key r snap =
-  let payload = wire_of_shard r in
-  Harness.Cache.store ck.ck_cache ~key:(payload_entry_key key) payload;
-  if Taq_obs.Obs.policy_enabled () then
-    Harness.Cache.store ck.ck_cache ~key:(obs_entry_key key)
-      (Taq_obs.Obs.snapshot_to_string snap);
-  match ck.ck_journal with
-  | None -> ()
-  | Some j ->
-      Harness.Journal.append j
-        (Harness.Journal.Finish
-           { key; digest = Digest.to_hex (Digest.string payload) })
+(* A payload restores only under its own shard's key. *)
+let codec p =
+  {
+    Durable.encode = wire_of_shard;
+    decode =
+      (fun ~key w ->
+        match shard_of_wire w with
+        | Some r when shard_key p ~shard:r.shard = key -> Some r
+        | Some _ | None -> None);
+  }
 
 let run ?(jobs = 1) ?checkpoint p =
   if p.shards <= 0 then invalid_arg "Mega_tier.run: shards";
   if p.total_flows < p.shards then invalid_arg "Mega_tier.run: total_flows";
-  let keys = List.init p.shards (fun shard -> shard_key p ~shard) in
-  let task_of shard =
-    Harness.Task.make ~key:(shard_key p ~shard) (fun ~seed ->
-        run_shard p ~shard ~seed)
+  let tasks =
+    List.init p.shards (fun shard ->
+        Harness.Task.make ~key:(shard_key p ~shard) (fun ~seed ->
+            run_shard p ~shard ~seed))
   in
   let shard_results, obs_snaps, restored_shards =
     match checkpoint with
-    | None ->
-        let tasks = List.init p.shards task_of in
-        if jobs <= 1 then
-          (* In-process: counters accumulate in the caller's collector
-             (the bench harness relies on this — see the .mli). *)
-          (List.map Harness.Task.run tasks, [], 0)
-        else
-          let results = Harness.Pool.run ~jobs tasks in
-          ( List.map
-              (fun (r : shard_result Harness.Pool.result) ->
-                match r.Harness.Pool.value with
-                | Ok v -> v
-                | Error msg ->
-                    failwith
-                      (Printf.sprintf "mega shard %s failed: %s"
-                         r.Harness.Pool.key msg))
-              results,
-            List.map
-              (fun (r : shard_result Harness.Pool.result) ->
-                r.Harness.Pool.obs)
-              results,
-            0 )
-    | Some ck ->
-        let finished =
-          if ck.ck_resume then
-            match ck.ck_journal with
-            | Some j ->
-                Harness.Journal.finished
-                  (Harness.Journal.replay ~path:(Harness.Journal.path j))
-            | None -> Hashtbl.create 1
-          else Hashtbl.create 1
-        in
-        let restored = Hashtbl.create 16 in
-        List.iteri
-          (fun shard key ->
-            match restore_shard ck ~finished ~key ~shard with
-            | Some rs -> Hashtbl.replace restored key rs
-            | None -> ())
-          keys;
-        let tasks =
-          List.init p.shards Fun.id
-          |> List.filter (fun shard ->
-                 not (Hashtbl.mem restored (shard_key p ~shard)))
-          |> List.map task_of
-        in
-        let on_start key =
-          match ck.ck_journal with
-          | None -> ()
-          | Some j -> Harness.Journal.append j (Harness.Journal.Start key)
-        in
-        let on_done ~completed:_ ~total:_
-            (r : shard_result Harness.Pool.result) =
-          match r.Harness.Pool.value with
-          | Ok v -> checkpoint_shard ck ~key:r.Harness.Pool.key v r.Harness.Pool.obs
-          | Error _ -> ()
-        in
-        (* Checkpointed runs always go through the pool (even jobs 1):
-           per-shard snapshots must exist so a resume can restore them. *)
+    | None when jobs <= 1 ->
+        (* In-process: counters accumulate in the caller's collector
+           (the bench harness relies on this — see the .mli). *)
+        (List.map Harness.Task.run tasks, [], 0)
+    | _ ->
+        (* Checkpointed runs always go through the runner (even at
+           jobs 1): per-shard snapshots must exist so a resume can
+           restore them. *)
         let results =
-          Harness.Pool.run ~jobs:(Stdlib.max 1 jobs) ~on_start ~on_done tasks
+          match checkpoint with
+          | None -> Durable.run ~jobs (codec p) tasks
+          | Some ck ->
+              Durable.run ~jobs ~cache:ck.ck_cache ?journal:ck.ck_journal
+                ~resume:ck.ck_resume (codec p) tasks
         in
-        if
-          Harness.Pool.cancel_requested ()
-          || List.exists Harness.Pool.cancelled results
-        then raise Interrupted;
-        let computed = Hashtbl.create 16 in
-        List.iter
-          (fun (r : shard_result Harness.Pool.result) ->
-            match r.Harness.Pool.value with
-            | Ok v -> Hashtbl.replace computed r.Harness.Pool.key (v, r.Harness.Pool.obs)
-            | Error msg ->
-                failwith
-                  (Printf.sprintf "mega shard %s failed: %s"
-                     r.Harness.Pool.key msg))
-          results;
-        let pairs =
-          List.map
-            (fun key ->
-              match Hashtbl.find_opt restored key with
-              | Some rs -> rs
-              | None -> Hashtbl.find computed key)
-            keys
+        if Harness.Pool.cancel_requested () then raise Interrupted;
+        let value (r : _ Durable.result) =
+          match r.Durable.outcome with
+          | Durable.(Restored v | Hit v | Computed v) -> v
+          | Durable.(Failed _ | Cancelled) ->
+              failwith
+                (Printf.sprintf "mega shard %s failed: %s" r.Durable.key
+                   r.Durable.status)
         in
-        ( List.map fst pairs,
-          List.map snd pairs,
-          Hashtbl.length restored )
+        let served (r : _ Durable.result) =
+          match r.Durable.outcome with
+          | Durable.(Restored _ | Hit _) -> true
+          | _ -> false
+        in
+        ( List.map value results,
+          List.map (fun (r : _ Durable.result) -> r.Durable.obs) results,
+          List.length (List.filter served results) )
   in
   let cohort =
     List.fold_left

@@ -64,9 +64,10 @@ type checkpoint = {
   ck_cache : Taq_harness.Cache.t;
       (** holds one payload entry (and one obs-snapshot entry when
           counters are on) per completed shard *)
-  ck_journal : Taq_harness.Journal.t option;
-      (** the write-ahead ledger; [None] ⇒ shards are cached but a
-          resume cannot trust them (nothing testifies to completion) *)
+  ck_journal : string option;
+      (** path of the write-ahead ledger; [None] ⇒ shards are cached
+          but a resume cannot trust them (nothing testifies to
+          completion) *)
   ck_resume : bool;
       (** replay the journal first and recompute only missing shards *)
 }
@@ -85,14 +86,14 @@ val shard_key : params -> shard:int -> string
 val run : ?jobs:int -> ?checkpoint:checkpoint -> params -> result
 (** Execute all shards (default [jobs = 1]).
 
-    With [checkpoint]: every completed shard is persisted (result
-    payload + obs snapshot, hex-float exact) and journaled before the
-    run proceeds, and with [ck_resume = true] journaled shards whose
-    digests verify are restored instead of recomputed — merged cohort,
-    per-shard table and counter totals are byte-identical to an
-    uninterrupted run because shards merge in index order. A
-    checkpointed run always goes through the pool, even at [jobs = 1],
-    so per-shard snapshots exist to restore.
+    With [checkpoint] the shards run through {!Taq_harness.Durable}:
+    every completed shard is persisted (payload hex-float exact, plus
+    its obs snapshot) and journaled, and with [ck_resume = true]
+    journaled shards whose digests verify are restored instead of
+    recomputed — merged cohort, per-shard table and counter totals are
+    byte-identical to an uninterrupted run because shards merge in
+    index order. A checkpointed run always goes through the pool, even
+    at [jobs = 1], so per-shard snapshots exist to restore.
 
     @raise Interrupted
       if cooperative cancellation fired mid-run (completed shards are

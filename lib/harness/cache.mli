@@ -2,10 +2,10 @@
 
     Entries live under a cache directory (default [_results/]) as
     [<md5-hex>.txt], keyed by a hash of the run's identity — target
-    name, parameters, full flag — built with {!key}. Re-running a
-    sweep therefore recomputes only the parameter points whose entries
-    are missing; everything else is served from disk and reported as a
-    hit. Stores are write-then-rename, so readers never observe torn
+    name, parameters, full flag — built with {!key}. {!Durable} owns
+    how runs use it (entry names, probe and store order); re-running a
+    sweep recomputes only the points whose entries are missing.
+    Stores are write-then-rename, so readers never observe torn
     entries even with concurrent writers.
 
     The read path self-heals: every entry carries a
@@ -40,15 +40,6 @@ val store : t -> key:string -> string -> unit
     dropped, a warning is printed once per cache, and {!io_errors} /
     the [cache.io_errors] obs counter are bumped — the run continues
     uncached rather than aborting. *)
-
-val find_or_compute :
-  t -> key:string -> (unit -> string) -> [ `Hit | `Miss ] * string
-(** Serve from disk, or compute, store and return. Updates the
-    hit/miss counters (thread-safe). *)
-
-val hits : t -> int
-
-val misses : t -> int
 
 val evictions : t -> int
 (** Corrupted entries deleted by {!find} over this instance's

@@ -1,16 +1,14 @@
 (** Append-only write-ahead journal for durable runs.
 
-    A journal is the harness's crash ledger: before a task executes the
-    pool appends a {!record.Start}, and after its payload has been
-    persisted to the {!Cache} it appends a {!record.Finish} carrying
-    the payload's MD5. Every append is flushed and [fsync]ed before it
-    returns, so the set of [Finish] records on disk is always a safe
-    under-approximation of the work actually completed — a SIGKILL,
-    OOM-kill or power loss can lose the record of the task that was in
-    flight, never corrupt the records that preceded it. On restart,
-    [taq_sim sweep --resume] / [taq_sim mega --resume] replay the
-    journal, restore journaled-complete tasks from the cache (digest
-    verified), and re-execute only the remainder.
+    A journal is the harness's crash ledger: a {!record.Start} before a
+    task executes, a {!record.Finish} carrying the payload's MD5 once
+    the payload is persisted to the {!Cache}. {!Durable} owns when
+    records are appended and how a resume replays them. Every append
+    is flushed and [fsync]ed before it returns, so the set of [Finish]
+    records on disk is always a safe under-approximation of the work
+    actually completed — a SIGKILL, OOM-kill or power loss can lose the
+    record of the task that was in flight, never corrupt the records
+    that preceded it.
 
     {2 Record format}
 
@@ -59,8 +57,6 @@ val healthy : t -> bool
 (** [false] once the journal has degraded to a no-op (open or append
     failure). *)
 
-val path : t -> string
-
 val append : t -> record -> unit
 (** Format, write, flush and [fsync] one record (thread-safe; worker
     domains append concurrently). On I/O failure the journal degrades
@@ -79,10 +75,6 @@ val replay : path:string -> record list
 val finished : record list -> (string, string) Hashtbl.t
 (** The completed tasks a replay testifies to: key → payload digest,
     last record winning. *)
-
-val started_unfinished : record list -> string list
-(** Keys with a [Start] but no [Finish] — the tasks that were in
-    flight when the previous run died — in first-start order. *)
 
 (** {1 Wire format internals} — exposed for the test battery. *)
 

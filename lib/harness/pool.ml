@@ -197,6 +197,7 @@ let unexecuted_result key msg =
 
 let run ?(jobs = 1) ?timeout_s ?retries ?backoff_s ?backoff_cap_s
     ?max_respawns ?on_start ?on_done tasks =
+  Task.ensure_distinct tasks;
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   let results : 'a result option array = Array.make n None in
@@ -333,15 +334,3 @@ let status r =
       else if r.attempts > 1 then
         Printf.sprintf "error (%d attempts): %s" r.attempts msg
       else "error: " ^ msg
-
-let report ?(columns = [ "task"; "seconds"; "status" ]) results =
-  let table = Taq_util.Table.create ~columns in
-  List.iter
-    (fun r ->
-      Taq_util.Table.add_row table
-        [ r.key; Printf.sprintf "%.2f" r.elapsed_s; status r ])
-    results;
-  let total = List.fold_left (fun acc r -> acc +. r.elapsed_s) 0.0 results in
-  Taq_util.Table.add_row table
-    [ "total"; Printf.sprintf "%.2f" total; "" ];
-  table

@@ -53,7 +53,8 @@ val run :
     via [Fun.protect], the exception kills only that worker, and
     supervision respawns it). [on_start key] fires just before a task's
     first attempt — the durability layer journals a [Start] record
-    there. Default [jobs] is 1.
+    there. Default [jobs] is 1. Raises [Invalid_argument] (before
+    running anything) when two tasks share a key ({!Task.ensure_distinct}).
 
     Resilience knobs:
     - [timeout_s]: per-task deadline. The attempt body runs on a
@@ -118,8 +119,3 @@ val status : 'a result -> string
 (** Human-readable status: ["ok"], ["ok (retried xN)"], ["timeout"],
     ["timeout (N attempts)"], ["error: msg"],
     ["error (N attempts): msg"], ["cancelled"] or ["lost: ..."]. *)
-
-val report : ?columns:string list -> 'a result list -> Taq_util.Table.t
-(** A summary table (task, seconds, status) with a trailing total row
-    — print it with {!Taq_util.Table.print}. The status column
-    distinguishes ok / retried / timeout / error via {!status}. *)

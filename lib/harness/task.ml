@@ -7,6 +7,15 @@ let make ~key run = { key; run }
 
 let key t = t.key
 
+let ensure_distinct tasks =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun t ->
+      if Hashtbl.mem seen t.key then
+        invalid_arg (Printf.sprintf "duplicate task key %S" t.key);
+      Hashtbl.replace seen t.key ())
+    tasks
+
 (* FNV-1a over the key bytes folds the string into 64 bits; one
    splitmix64 step (via Prng.bits64) then gives the final avalanche.
    The derived seed depends only on the key, never on scheduling order

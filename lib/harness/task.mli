@@ -14,6 +14,11 @@ val make : key:string -> (seed:int -> 'a) -> 'a t
 
 val key : 'a t -> string
 
+val ensure_distinct : 'a t list -> unit
+(** @raise Invalid_argument naming the first key that occurs twice.
+    Two tasks with one key would share one seed, one cache entry and
+    one journal record — an alias, never two points. *)
+
 val seed_of_key : string -> int
 (** Deterministic seed derivation: FNV-1a folds the key into 64 bits,
     a splitmix64 step mixes it, and the result is truncated to a

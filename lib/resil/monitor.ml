@@ -129,9 +129,13 @@ let tick t () =
   t.last_dropped <- stats.Link.dropped;
   let jain = window_jain t in
   Hashtbl.reset t.window_bytes;
+  (* Push-out and dequeue-drop disciplines (CHOKeD, CoDel) drop
+     packets that arrived in earlier windows, so a window's drops can
+     exceed its arrivals: such a window counts as total loss, keeping
+     the sample a fraction by construction. *)
   let drop =
-    if offered_d <= 0 then 0.0
-    else float_of_int dropped_d /. float_of_int offered_d
+    let denom = Stdlib.max offered_d dropped_d in
+    if denom <= 0 then 0.0 else float_of_int dropped_d /. float_of_int denom
   in
   let occ = float_of_int (Link.queue_length t.link) in
   Check.require t.check Check.Resil

@@ -1,8 +1,10 @@
 (** Deterministic steady-state / recovery monitor.
 
     Samples rolling windows of three health metrics on the bottleneck
-    — Jain fairness over per-flow delivered bytes, drop rate, and
-    queue occupancy — via [Sim.every], so the sample clock interleaves
+    — Jain fairness over per-flow delivered bytes, drop rate (a
+    window's drops over the larger of its arrivals and its drops, so
+    a window whose drops exceed its arrivals counts as total loss),
+    and queue occupancy — via [Sim.every], so the sample clock interleaves
     with packet events like any other calendar entry and the whole
     trajectory is byte-reproducible at any [--jobs] count.
 

@@ -1,5 +1,5 @@
 (** Boxed-entry event heap, retained as the differential-testing
-    reference for the flat {!Event_heap}.
+    reference for the flat [Taq_engine.Event_heap].
 
     Same contract as the flat heap (min-heap on time, FIFO tie-break by
     insertion order) with the original boxed [{ time; seq; payload }]

@@ -399,35 +399,20 @@ let prop_flow_permutation =
    scheduling-dependent nondeterminism (hidden shared state, ambient
    PRNGs, domain-local sinks). *)
 let mini_sweep_tasks () =
-  List.map
-    (fun (queue, name, fair_share) ->
-      let key = Printf.sprintf "mini/%s/fs=%.0f" name fair_share in
-      Harness.Task.make ~key (fun ~seed ->
-          Harness.Capture.text (fun () ->
-              let capacity = 200e3 in
-              let flows =
-                Common.flows_for_fair_share ~capacity_bps:capacity
-                  ~fair_share_bps:fair_share
-              in
-              let env =
-                Common.make_env ~queue ~capacity_bps:capacity ~buffer_pkts:20
-                  ~seed ()
-              in
-              let ids =
-                Common.spawn_long_flows env ~n:flows ~rtt:0.1 ~rtt_jitter:0.1 ()
-              in
-              Common.run env ~until:12.0;
-              Taq_util.Out.printf "%s jain=%.6f util=%.6f loss=%.6f\n" key
-                (Taq_metrics.Slicer.long_term_jain env.Common.slicer ~flows:ids)
-                (Common.utilization env)
-                (Common.measured_loss_rate env))))
-    [
-      (Common.Droptail, "droptail", 10e3);
-      (Common.Sfq, "sfq", 10e3);
-      (Common.Droptail, "droptail", 20e3);
-      (Common.Taq (Common.taq_config ~capacity_bps:200e3 ~buffer_pkts:20 ()),
-       "taq", 10e3);
-    ]
+  let module Sweep = Taq_experiments.Sweep in
+  List.map Sweep.task
+    (Sweep.grid
+       {
+         Sweep.rtt = 0.1;
+         duration = 12.0;
+         buffer_rtts = 4.0;
+         faults = None;
+         guard = None;
+         resil = None;
+         backend = { Sweep.kind = `Packet; bg_flows = 0; fluid_dt = 0.05 };
+       }
+       ~queues:[ "droptail"; "sfq"; "taq" ] ~capacities:[ 200e3 ]
+       ~fair_shares:[ 10e3; 20e3 ] ~reps:1)
 
 let outputs ~jobs =
   Harness.Pool.run ~jobs (mini_sweep_tasks ())

@@ -439,14 +439,12 @@ let test_drill_jobs_invariant () =
      outcomes at jobs=1 and jobs=4. *)
   let s = Option.get (Scenarios.find "flap-repeat") in
   let tasks () =
-    List.map
-      (fun q ->
-        Taq_harness.Task.make
-          ~key:(Printf.sprintf "drill/%s" (Common.queue_name q))
-          (fun ~seed ->
-            Fault_drill.run ~scenario:s.Scenarios.name ~plan:s.Scenarios.plan
-              ~queue:q ~seed ()))
-      [ Common.Droptail; Common.taq_marker ]
+    match
+      Taq_experiments.Sweep.drills ~scenarios:[ s ]
+        ~queues:[ "droptail"; "taq" ]
+    with
+    | Ok drills -> List.map Taq_experiments.Sweep.task drills
+    | Error msg -> Alcotest.fail msg
   in
   let seq = Taq_harness.Pool.run ~jobs:1 (tasks ()) in
   let par = Taq_harness.Pool.run ~jobs:4 (tasks ()) in

@@ -1,15 +1,21 @@
 (* Tests for taq_harness: the Domain pool (every task runs exactly
-   once, results stay input-ordered at jobs in {1,4}), deterministic
-   task-seed derivation, per-task output capture, the on-disk result
-   cache, and a qcheck property that parallel and sequential runs of
-   the same task list produce identical per-task outputs. *)
+   once, results stay input-ordered at jobs in {1,4}, duplicate keys
+   rejected), deterministic task-seed derivation, per-task output
+   capture, the on-disk result cache, the write-ahead journal, the
+   durable runner driven through kill-and-resume (sweep-style tasks
+   and the real mega tier), the pinned task keys, and a qcheck
+   property that parallel and sequential runs of the same task list
+   produce identical per-task outputs. *)
 
 module Task = Taq_harness.Task
 module Pool = Taq_harness.Pool
 module Capture = Taq_harness.Capture
 module Cache = Taq_harness.Cache
 module Journal = Taq_harness.Journal
+module Durable = Taq_harness.Durable
 module Obs = Taq_obs.Obs
+module Sweep = Taq_experiments.Sweep
+module Mega_tier = Taq_experiments.Mega_tier
 
 let contains ~needle hay =
   let nh = String.length hay and nn = String.length needle in
@@ -129,28 +135,6 @@ let test_pool_on_done_progress () =
   in
   Alcotest.(check int) "on_done fired once per task" n (Atomic.get seen);
   Alcotest.(check int) "total is task count" n !total_seen
-
-let test_pool_report_table () =
-  let results =
-    Pool.run ~jobs:1
-      [
-        Task.make ~key:"alpha" (fun ~seed:_ -> ());
-        Task.make ~key:"beta" (fun ~seed:_ -> failwith "x");
-      ]
-  in
-  let out =
-    let buf, () =
-      Capture.run (fun () -> Taq_util.Table.print (Pool.report results))
-    in
-    buf
-  in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "report mentions %s" needle)
-        true
-        (contains ~needle out))
-    [ "alpha"; "beta"; "total" ]
 
 (* --- Pool: resilience (timeout / retry / quarantine) ------------------------ *)
 
@@ -288,27 +272,25 @@ let with_temp_cache f =
 
 let test_cache_miss_then_hit () =
   with_temp_cache (fun cache ->
-      let key = Cache.key ~parts:[ "sweep"; "droptail"; "cap=600000" ] in
+      let key = "sweep/droptail/cap=600000" in
       Alcotest.(check (option string)) "empty cache" None
-        (Cache.find cache ~key);
+        (Cache.find cache ~key:(Cache.key ~parts:[ key ]));
       let computed = ref 0 in
-      let status, data =
-        Cache.find_or_compute cache ~key (fun () ->
-            incr computed;
-            "payload")
+      let run value =
+        Durable.run ~cache Durable.identity
+          [
+            Task.make ~key (fun ~seed:_ ->
+                incr computed;
+                value);
+          ]
       in
-      Alcotest.(check bool) "first lookup is a miss" true (status = `Miss);
-      Alcotest.(check string) "computed payload" "payload" data;
-      let status2, data2 =
-        Cache.find_or_compute cache ~key (fun () ->
-            incr computed;
-            "recomputed!")
-      in
-      Alcotest.(check bool) "second lookup is a hit" true (status2 = `Hit);
-      Alcotest.(check string) "served from disk" "payload" data2;
-      Alcotest.(check int) "computed exactly once" 1 !computed;
-      Alcotest.(check int) "hit counter" 1 (Cache.hits cache);
-      Alcotest.(check int) "miss counter" 1 (Cache.misses cache))
+      (match run "payload" with
+      | [ { Durable.outcome = Durable.Computed "payload"; _ } ] -> ()
+      | _ -> Alcotest.fail "first run must compute");
+      (match run "recomputed!" with
+      | [ { Durable.outcome = Durable.Hit "payload"; _ } ] -> ()
+      | _ -> Alcotest.fail "second run must be served from disk");
+      Alcotest.(check int) "computed exactly once" 1 !computed)
 
 let test_cache_key_sensitivity () =
   (* Every part matters, and concatenation cannot alias distinct
@@ -362,12 +344,8 @@ let test_cache_torn_entry_evicted () =
       Alcotest.(check bool)
         "torn file removed from disk" false
         (Sys.file_exists (entry_path cache ~key));
-      (* The standard read path recomputes and re-stores. *)
-      let status, data =
-        Cache.find_or_compute cache ~key (fun () -> "recomputed")
-      in
-      Alcotest.(check bool) "recompute is a miss" true (status = `Miss);
-      Alcotest.(check string) "fresh value" "recomputed" data;
+      (* A fresh store heals the entry. *)
+      Cache.store cache ~key "recomputed";
       Alcotest.(check (option string))
         "healed entry serves again" (Some "recomputed") (Cache.find cache ~key))
 
@@ -423,7 +401,8 @@ let test_cache_trailer_roundtrips_tricky_payloads () =
 let test_chaos_sweep_still_correct () =
   (* The acceptance scenario from the robustness issue: one crashing
      task, one hanging task and one corrupted cache entry, all in the
-     same sweep — every healthy point must still come back correct. *)
+     same durable run — every healthy point must still come back
+     correct. *)
   with_temp_cache (fun cache ->
       let healthy = [ "p0"; "p1"; "p2"; "p3" ] in
       let value_of key = "value:" ^ key in
@@ -432,46 +411,41 @@ let test_chaos_sweep_still_correct () =
       Cache.store cache ~key:(hash "p0") (value_of "p0");
       Cache.store cache ~key:(hash "p1") (value_of "p1");
       clobber (entry_path cache ~key:(hash "p1")) (fun raw -> "XX" ^ raw);
-      let computed = ref [] in
-      let task_of key =
-        Task.make ~key (fun ~seed:_ ->
-            computed := key :: !computed;
-            value_of key)
+      let results =
+        Durable.run ~jobs:4 ~timeout_s:0.3 ~retries:1 ~cache
+          ~transient:
+            [
+              Task.make ~key:"chaos/crash" (fun ~seed:_ ->
+                  failwith "chaos crash");
+              Task.make ~key:"chaos/hang" (fun ~seed:_ ->
+                  Unix.sleepf 3.0;
+                  "unreachable");
+            ]
+          Durable.identity
+          (List.map
+             (fun key -> Task.make ~key (fun ~seed:_ -> value_of key))
+             healthy)
       in
-      (* Cache probe first (as the sweep driver does), then the pool
-         runs the misses plus the two unhealthy tasks. *)
-      let to_run =
-        List.filter
-          (fun key -> Cache.find cache ~key:(hash key) = None)
-          healthy
-      in
-      Alcotest.(check (list string))
-        "corrupted entry joins the misses" [ "p1"; "p2"; "p3" ] to_run;
-      let tasks =
-        List.map task_of to_run
-        @ [
-            Task.make ~key:"chaos/crash" (fun ~seed:_ ->
-                failwith "chaos crash");
-            Task.make ~key:"chaos/hang" (fun ~seed:_ ->
-                Unix.sleepf 3.0;
-                "unreachable");
-          ]
-      in
-      let results = Pool.run ~jobs:4 ~timeout_s:0.3 ~retries:1 tasks in
+      let result key = List.find (fun r -> r.Durable.key = key) results in
+      Alcotest.(check bool)
+        "intact entry served from disk" true
+        ((result "p0").Durable.outcome = Durable.Hit (value_of "p0"));
       List.iter
-        (fun (r : string Pool.result) ->
-          match r.Pool.key with
-          | "chaos/crash" ->
-              Alcotest.(check bool)
-                "crash quarantined" true
-                (Result.is_error r.Pool.value)
-          | "chaos/hang" ->
-              Alcotest.(check bool) "hang timed out" true r.Pool.timed_out
-          | key ->
-              if not (List.mem key to_run) then
-                Alcotest.failf "unexpected task %s" key;
-              Cache.store cache ~key:(hash key) (Pool.value_exn r))
-        results;
+        (fun key ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s (corrupted or missing) recomputed" key)
+            true
+            ((result key).Durable.outcome = Durable.Computed (value_of key)))
+        [ "p1"; "p2"; "p3" ];
+      Alcotest.(check bool)
+        "crash quarantined" true
+        (match (result "chaos/crash").Durable.outcome with
+        | Durable.Failed _ -> true
+        | _ -> false);
+      Alcotest.(check bool)
+        "hang timed out" true
+        (String.starts_with ~prefix:"timeout"
+           (result "chaos/hang").Durable.status);
       (* Every healthy point now serves its correct value. *)
       List.iter
         (fun key ->
@@ -504,8 +478,7 @@ let prop_parallel_matches_sequential =
   QCheck.Test.make ~name:"pool: jobs=4 outputs identical to jobs=1" ~count:30
     QCheck.(list_of_size Gen.(int_range 0 12) small_printable_string)
     (fun raw_keys ->
-      (* Make keys unique: duplicate keys are legal but make the
-         comparison trivially flaky to express. *)
+      (* Make keys unique: the pool rejects duplicate keys. *)
       let keys =
         List.mapi (fun i k -> Printf.sprintf "%d/%s" i k) raw_keys
       in
@@ -745,9 +718,9 @@ let test_journal_append_replay () =
             (Some (Digest.to_hex (Digest.string key)))
             (Hashtbl.find_opt fin key))
         tricky_keys;
-      Alcotest.(check (list string))
-        "started_unfinished sees the torn Start" [ "appended-later" ]
-        (Journal.started_unfinished (Journal.replay ~path)))
+      Alcotest.(check bool)
+        "a Start without Finish is not finished" false
+        (Hashtbl.mem fin "appended-later"))
 
 let test_journal_degrades_on_io_error () =
   (* Parent "directory" is a file: the journal must come back degraded
@@ -827,131 +800,213 @@ let prop_journal_corruption_yields_prefix =
       in
       is_prefix_of ~prefix:(Journal.decode damaged) records)
 
-(* --- Durable sweep: kill-mid-run emulation + byte-identical resume ----------- *)
+(* --- Durable runner: kill-mid-run emulation + byte-identical resume ------- *)
 
-(* The full acceptance arc, in-process: run a reference sweep with
-   per-task obs snapshots; then emulate a crash by journaling only the
-   tasks a killed run would have persisted; then resume — restore the
-   journaled tasks from the cache, compute only the rest — and check
-   the merged task counters are identical to the uninterrupted run's.
-   (CI repeats this against the real binary with a real SIGKILL.) *)
-let test_durable_resume_counters_identical () =
-  Obs.set_policy
+let with_counters f =
+  let policy counters =
     {
-      Obs.policy_counters = true;
+      Obs.policy_counters = counters;
       policy_trace = None;
       policy_trace_capacity = 4096;
-    };
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_policy
-        {
-          Obs.policy_counters = false;
-          policy_trace = None;
-          policy_trace_capacity = 4096;
-        })
-    (fun () ->
+    }
+  in
+  Obs.set_policy (policy true);
+  Fun.protect ~finally:(fun () -> Obs.set_policy (policy false)) f
+
+let merged results = Obs.merge_all (List.map (fun r -> r.Durable.obs) results)
+
+let same_counters (a : Obs.snapshot) (b : Obs.snapshot) =
+  a.Obs.counters = b.Obs.counters && a.Obs.gauges = b.Obs.gauges
+
+(* The full acceptance arc, in-process: an uninterrupted reference run;
+   a run "killed" after its third task (cooperative cancellation stops
+   the rest, and a torn half-record is left at the journal's tail);
+   then a resume that restores the journaled tasks and computes only
+   the rest. Merged counters and payloads must equal the reference.
+   (CI repeats this against the real binary with a real SIGKILL.) *)
+let test_durable_resume_counters_identical () =
+  with_counters (fun () ->
       with_temp_cache (fun cache ->
           let keys = List.init 6 (fun i -> Printf.sprintf "durable/p%d" i) in
-          let task_of key =
+          let task_of ?kill_after key =
             Task.make ~key (fun ~seed ->
                 (* A deterministic per-task counter footprint. *)
                 let obs = Obs.ambient () in
                 Obs.labeled obs "durable.work" (seed mod 1000);
                 Obs.labeled obs "durable.tasks" 1;
+                if kill_after = Some key then Pool.request_cancel ();
                 Printf.sprintf "out:%s:%d" key seed)
           in
-          (* Reference: uninterrupted run, all six computed. *)
-          let reference = Pool.run ~jobs:2 (List.map task_of keys) in
-          let ref_merged =
-            Obs.merge_all
-              (List.map (fun (r : string Pool.result) -> r.Pool.obs) reference)
+          let reference =
+            Durable.run ~jobs:2 Durable.identity (List.map task_of keys)
           in
-          (* "Killed" run: the first three tasks completed and were
-             persisted (payload + obs snapshot + journal Finish); the
-             kill landed before the rest. *)
-          let journal_path = Filename.concat (Cache.dir cache) "test.journal" in
-          let j = Journal.open_append ~path:journal_path ~fresh:true () in
-          List.iteri
-            (fun i (r : string Pool.result) ->
-              if i < 3 then begin
-                let key = r.Pool.key in
-                let payload = Pool.value_exn r in
-                Journal.append j (Journal.Start key);
-                Cache.store cache ~key:(Cache.key ~parts:[ key ]) payload;
-                Cache.store cache
-                  ~key:(Cache.key ~parts:[ key; "obs" ])
-                  (Obs.snapshot_to_string r.Pool.obs);
-                Journal.append j
-                  (Journal.Finish
-                     { key; digest = Digest.to_hex (Digest.string payload) })
-              end)
-            reference;
-          Journal.close j;
-          (* Resume: restore journaled-complete tasks, compute the rest. *)
-          let finished = Journal.finished (Journal.replay ~path:journal_path) in
+          let journal = Filename.concat (Cache.dir cache) "test.journal" in
+          let killed =
+            Fun.protect ~finally:Pool.reset_cancel (fun () ->
+                Durable.run ~cache ~journal Durable.identity
+                  (List.map (task_of ~kill_after:"durable/p2") keys))
+          in
+          Alcotest.(check int) "kill lands after three tasks" 3
+            (List.length
+               (List.filter
+               (fun r -> r.Durable.outcome = Durable.Cancelled)
+               killed));
+          let oc = open_out_gen [ Open_append; Open_binary ] 0o644 journal in
+          output_string oc "J1 0123";
+          close_out oc;
+          let resumed =
+            Durable.run ~jobs:2 ~cache ~journal ~resume:true Durable.identity
+              (List.map task_of keys)
+          in
           let restored =
-            List.filter_map
-              (fun key ->
-                match Hashtbl.find_opt finished key with
-                | None -> None
-                | Some digest -> (
-                    match Cache.find cache ~key:(Cache.key ~parts:[ key ]) with
-                    | Some payload
-                      when Digest.to_hex (Digest.string payload) = digest -> (
-                        match
-                          Cache.find cache ~key:(Cache.key ~parts:[ key; "obs" ])
-                        with
-                        | Some s -> (
-                            match Obs.snapshot_of_string s with
-                            | Ok snap -> Some (key, (payload, snap))
-                            | Error _ -> None)
-                        | None -> None)
-                    | _ -> None))
-              keys
+            List.filter
+              (fun r ->
+                match r.Durable.outcome with
+                | Durable.Restored _ -> true
+                | _ -> false)
+              resumed
           in
           Alcotest.(check int) "three tasks restored" 3 (List.length restored);
-          let todo =
-            List.filter (fun k -> not (List.mem_assoc k restored)) keys
-          in
-          let computed = Pool.run ~jobs:2 (List.map task_of todo) in
-          let by_key = Hashtbl.create 16 in
-          List.iter
-            (fun (r : string Pool.result) ->
-              Hashtbl.replace by_key r.Pool.key (Pool.value_exn r, r.Pool.obs))
-            computed;
-          (* Merge in task order, restored-or-computed. *)
-          let merged =
-            Obs.merge_all
-              (List.map
-                 (fun key ->
-                   match List.assoc_opt key restored with
-                   | Some (_, snap) -> snap
-                   | None -> snd (Hashtbl.find by_key key))
-                 keys)
-          in
           Alcotest.(check bool)
             "merged task counters identical to the uninterrupted run" true
-            (merged.Obs.counters = ref_merged.Obs.counters
-            && merged.Obs.gauges = ref_merged.Obs.gauges);
+            (same_counters (merged resumed) (merged reference));
           (* And the payloads line up too. *)
-          List.iter
-            (fun key ->
-              let expected =
-                Pool.value_exn
-                  (List.find
-                     (fun (r : string Pool.result) -> r.Pool.key = key)
-                     reference)
-              in
-              let actual =
-                match List.assoc_opt key restored with
-                | Some (payload, _) -> payload
-                | None -> fst (Hashtbl.find by_key key)
+          List.iter2
+            (fun expected actual ->
+              let payload r =
+                match r.Durable.outcome with
+                | Durable.(Restored v | Hit v | Computed v) -> v
+                | _ -> Alcotest.failf "%s has no payload" r.Durable.key
               in
               Alcotest.(check string)
-                (Printf.sprintf "payload for %s identical" key)
-                expected actual)
-            keys))
+                (Printf.sprintf "payload for %s identical" expected.Durable.key)
+                (payload expected) (payload actual))
+            reference resumed))
+
+(* A small mega tier: two shards, one simulated second. *)
+let small_mega =
+  {
+    Mega_tier.quick with
+    total_flows = 2000;
+    shards = 2;
+    capacity_bps = 12e6;
+    duration = 1.0;
+  }
+
+(* The same arc through the real mega tier: a checkpointed run killed
+   once one shard was journaled (the journal cut after its first
+   Finish record, the other shard's cache entry gone), then resumed.
+   Report and merged counters must match the uninterrupted run; only
+   the restored-count note differs. *)
+let test_mega_checkpoint_resume () =
+  let p = small_mega in
+  let report r =
+    Capture.text (fun () -> Mega_tier.print r)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> not (contains ~needle:"restored" l))
+  in
+  with_counters (fun () ->
+      with_temp_cache (fun cache ->
+          let journal = Filename.concat (Cache.dir cache) "mega.journal" in
+          let checkpoint ck_resume =
+            { Mega_tier.ck_cache = cache; ck_journal = Some journal; ck_resume }
+          in
+          let full = Mega_tier.run ~jobs:2 ~checkpoint:(checkpoint false) p in
+          let rec upto_first_finish = function
+            | [] -> []
+            | l :: rest ->
+                l
+                :: (if contains ~needle:" done " l then []
+                    else upto_first_finish rest)
+          in
+          let kept =
+            upto_first_finish
+              (String.split_on_char '\n'
+                 (In_channel.with_open_bin journal In_channel.input_all))
+          in
+          Out_channel.with_open_bin journal (fun oc ->
+              List.iter (fun l -> output_string oc (l ^ "\n")) kept);
+          List.iter
+            (fun shard ->
+              let key = Mega_tier.shard_key p ~shard in
+              let finished = contains ~needle:(" done " ^ key ^ " ") in
+              if not (List.exists finished kept) then
+                Sys.remove (entry_path cache ~key:(Cache.key ~parts:[ key ])))
+            [ 0; 1 ];
+          let resumed = Mega_tier.run ~jobs:2 ~checkpoint:(checkpoint true) p in
+          Alcotest.(check int) "one shard restored" 1
+            resumed.Mega_tier.restored_shards;
+          Alcotest.(check (list string)) "report identical" (report full)
+            (report resumed);
+          Alcotest.(check bool) "merged counters identical" true
+            (same_counters
+               (Obs.merge_all resumed.Mega_tier.obs_snaps)
+               (Obs.merge_all full.Mega_tier.obs_snaps))))
+
+(* --- Task keys: pinned to their historical strings ------------------------- *)
+
+(* Keys are seeds, cache addresses and journal names at once: a drift
+   would silently reseed every point and orphan every cached result. *)
+let test_task_keys_pinned () =
+  let plan =
+    match Taq_fault.Plan.of_string "flap@1+1" with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let setting =
+    {
+      Sweep.rtt = 0.2;
+      duration = 4.0;
+      buffer_rtts = 1.0;
+      faults = Some plan;
+      guard = Some 256;
+      resil = Some Taq_resil.Policy.default;
+      backend = { Sweep.kind = `Hybrid; bg_flows = 8; fluid_dt = 0.05 };
+    }
+  in
+  Alcotest.(check (list string))
+    "classic point"
+    [
+      "sweep/v1/queue=taq+ac/cap=400000/fs=40000/rtt=0.2/dur=4/buf=1/rep=0/faults=flap@1+1/guard=256/resil=period=0.5,sustain=3,eps-jain=0.05,eps-drop=0.02,eps-occ-frac=0.5,eps-occ-floor=3/backend=hybrid/fluid=n=8,rtt=0.2,pkt=500,dt=0.05";
+    ]
+    (List.map Sweep.key
+       (Sweep.grid setting ~queues:[ "taq+ac" ] ~capacities:[ 400e3 ]
+          ~fair_shares:[ 40e3 ] ~reps:1));
+  Alcotest.(check (result (list string) string))
+    "matrix cell"
+    (Ok [ "matrix/v1/disc=taq/tcp=cubic/wl=mice/fault=flood/guard=128" ])
+    (Result.map (List.map Sweep.key)
+       (Sweep.matrix ~discs:[ "taq" ] ~tcps:[ "cubic" ] ~workloads:[ "mice" ]
+          ~faults:[ "flood" ] ~guard:(Some 128)));
+  Alcotest.(check string)
+    "mega shard"
+    "mega/v1/flows=2000/shards=2/shard=1/cap=12000000/fg=4/rtt=0.2/dur=1/buf=1/dt=0.05/seed=42"
+    (Mega_tier.shard_key small_mega ~shard:1);
+  let flap = Option.get (Taq_fault.Scenarios.find "flap-slow-start") in
+  Alcotest.(check (result (list string) string))
+    "fault drill"
+    (Ok [ "faults/v1/flap-slow-start/queue=taq" ])
+    (Result.map (List.map Sweep.key)
+       (Sweep.drills ~scenarios:[ flap ] ~queues:[ "taq" ]))
+
+(* taq+ac would alias plain taq in a drill: the drill rebuilds TAQ's
+   config from the plan, so both would run under one key. *)
+let test_drills_reject_taq_ac () =
+  let flap = Option.get (Taq_fault.Scenarios.find "flap-slow-start") in
+  Alcotest.(check bool)
+    "taq+ac rejected" true
+    (Result.is_error
+       (Sweep.drills ~scenarios:[ flap ] ~queues:[ "droptail"; "taq+ac" ]))
+
+let test_pool_rejects_duplicate_keys () =
+  Alcotest.check_raises "duplicate key rejected before running"
+    (Invalid_argument "duplicate task key \"twin\"") (fun () ->
+      ignore
+        (Pool.run
+           [
+             Task.make ~key:"twin" (fun ~seed:_ -> Alcotest.fail "ran");
+             Task.make ~key:"twin" (fun ~seed:_ -> Alcotest.fail "ran");
+           ]))
 
 (* --- suite ----------------------------------------------------------------- *)
 
@@ -979,7 +1034,6 @@ let () =
             test_pool_failure_isolated;
           Alcotest.test_case "on_done progress" `Quick
             test_pool_on_done_progress;
-          Alcotest.test_case "report table" `Quick test_pool_report_table;
           Alcotest.test_case "timeout quarantines" `Quick
             test_pool_timeout_quarantines;
           Alcotest.test_case "retry until success" `Quick
@@ -996,6 +1050,8 @@ let () =
             test_pool_cancel_sequential;
           Alcotest.test_case "retry backoff capped" `Quick
             test_pool_backoff_capped;
+          Alcotest.test_case "duplicate keys rejected" `Quick
+            test_pool_rejects_duplicate_keys;
         ] );
       ( "capture",
         [
@@ -1042,6 +1098,14 @@ let () =
         [
           Alcotest.test_case "kill-mid-sweep resume: counters identical"
             `Quick test_durable_resume_counters_identical;
+          Alcotest.test_case "mega checkpoint kill and resume" `Quick
+            test_mega_checkpoint_resume;
+        ] );
+      ( "keys",
+        [
+          Alcotest.test_case "task keys pinned" `Quick test_task_keys_pinned;
+          Alcotest.test_case "drills reject taq+ac" `Quick
+            test_drills_reject_taq_ac;
         ] );
       ( "properties",
         [

@@ -39,19 +39,13 @@ let cells =
         tcps)
     Matrix.disc_names
 
-(* Must mirror the sweep driver's task key exactly (no guard; bare key
-   for fault=none, /fault=F otherwise): the key is the seed source, so
-   a key drift here would silently decouple these goldens from what
-   `sweep --matrix` actually runs. *)
-let key ~disc ~tcp ~workload ~fault =
-  Printf.sprintf "matrix/v1/disc=%s/tcp=%s/wl=%s%s" disc tcp workload
-    (if fault = "none" then "" else "/fault=" ^ fault)
-
+(* The cell's block exactly as `sweep --matrix` computes it: the same
+   task, seeded from the same key. *)
 let compute_block ~disc ~tcp ~workload ~fault =
-  let seed = Taq_harness.Task.seed_of_key (key ~disc ~tcp ~workload ~fault) in
+  let module Sweep = Taq_experiments.Sweep in
   String.trim
-    (Taq_harness.Capture.text (fun () ->
-         Matrix.run_cell ~disc ~tcp ~workload ~fault ~seed ()))
+    (Taq_harness.Task.run
+       (Sweep.task (Sweep.Cell { disc; tcp; workload; fault; guard = None })))
 
 (* Under `dune runtest` the action runs in _build/default/test with
    the goldens copied alongside; under `dune exec` from the project

@@ -240,24 +240,20 @@ let test_counters_consistent () =
 (* --- aggregation determinism across the Pool ----------------------------- *)
 
 let mini_sweep_tasks () =
-  List.map
-    (fun (queue, name) ->
-      let key = Printf.sprintf "obs-mini/%s" name in
-      Harness.Task.make ~key (fun ~seed ->
-          Harness.Capture.text (fun () ->
-              let env =
-                Common.make_env ~queue ~capacity_bps:200e3 ~buffer_pkts:20
-                  ~seed ()
-              in
-              let _ids = Common.spawn_long_flows env ~n:4 ~rtt:0.1 () in
-              Common.run env ~until:8.0;
-              Taq_util.Out.printf "%s done\n" key)))
-    [
-      (Common.Droptail, "droptail");
-      (Common.Sfq, "sfq");
-      (Common.Taq (Common.taq_config ~capacity_bps:200e3 ~buffer_pkts:20 ()),
-       "taq");
-    ]
+  let module Sweep = Taq_experiments.Sweep in
+  List.map Sweep.task
+    (Sweep.grid
+       {
+         Sweep.rtt = 0.1;
+         duration = 8.0;
+         buffer_rtts = 4.0;
+         faults = None;
+         guard = None;
+         resil = None;
+         backend = { Sweep.kind = `Packet; bg_flows = 0; fluid_dt = 0.05 };
+       }
+       ~queues:[ "droptail"; "sfq"; "taq" ] ~capacities:[ 200e3 ]
+       ~fair_shares:[ 50e3 ] ~reps:1)
 
 let with_counters_policy f =
   Obs.set_policy

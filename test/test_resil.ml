@@ -248,6 +248,44 @@ let test_monitor_row_line () =
          recovery = Monitor.No_recovery;
        })
 
+(* CoDel drops at dequeue, so a window can drop packets that arrived
+   in earlier windows: the drop-rate sample must stay a fraction
+   anyway. The matrix's codel/cubic/longmix flap cell, with the Resil
+   invariants raising on an explicit checker. *)
+let test_monitor_drop_sample_in_range () =
+  let check =
+    Taq_check.Check.create ~mode:Taq_check.Check.Raise
+      ~groups:[ Taq_check.Check.Resil ] ()
+  in
+  let tcp =
+    match Taq_tcp.Tcp_config.of_name "cubic" with
+    | Some t -> { t with Taq_tcp.Tcp_config.use_syn = false }
+    | None -> Alcotest.fail "no cubic profile"
+  in
+  let env =
+    Common.make_env ~check ~faults:(plan_of "flap@8+3") ~resil:Policy.default
+      ~queue:Common.Codel ~capacity_bps:400e3 ~buffer_pkts:25 ~slice:1.0
+      ~seed:
+        (Taq_harness.Task.seed_of_key
+           (Taq_experiments.Sweep.key
+              (Taq_experiments.Sweep.Cell
+                 {
+                   disc = "codel";
+                   tcp = "cubic";
+                   workload = "longmix";
+                   fault = "flap";
+                   guard = None;
+                 })))
+      ()
+  in
+  ignore (Common.spawn_long_flows env ~tcp ~n:12 ~rtt:0.1 ~rtt_jitter:0.1 ());
+  Common.run env ~until:30.0;
+  let rows = Option.get (Common.resil_rows env) in
+  let drop = row rows "drop_rate" in
+  Alcotest.(check bool)
+    "drop-rate deviation bounded by a fraction" true
+    (drop.Monitor.peak_dev <= 1.0)
+
 (* --- Ambient policy (last: the write is process-global) ---------------------- *)
 
 let test_ambient_write_once () =
@@ -286,6 +324,8 @@ let () =
           Alcotest.test_case "read-only (trajectory unchanged)" `Quick
             test_monitor_read_only;
           Alcotest.test_case "row_line rendering" `Quick test_monitor_row_line;
+          Alcotest.test_case "drop sample in range (codel flap)" `Quick
+            test_monitor_drop_sample_in_range;
         ] );
       ( "ambient",
         [ Alcotest.test_case "write-once" `Quick test_ambient_write_once ] );
