@@ -287,6 +287,16 @@ let () =
     | [] -> (true, Registry.names)
     | names -> (List.mem "micro" names, List.filter (( <> ) "micro") names)
   in
+  (* Targets are keyed by name, so each may be named once. *)
+  (match
+     List.find_opt
+       (fun n -> List.length (List.filter (( = ) n) opts.names) > 1)
+       opts.names
+   with
+  | Some name ->
+      Printf.eprintf "target %S given more than once\n" name;
+      exit 2
+  | None -> ());
   let targets =
     List.map
       (fun name ->

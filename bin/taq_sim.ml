@@ -254,14 +254,17 @@ let queue_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Common.disc_of_string s) in
   Arg.conv (parse, Format.pp_print_string)
 
+let disc_list = String.concat ", " Common.disc_names
+
+(* The one queue of sim and replay. *)
+let queue_arg =
+  Arg.(
+    value
+    & opt queue_conv "droptail"
+    & info [ "q"; "queue" ] ~docv:"QUEUE"
+        ~doc:("Queue discipline: " ^ disc_list ^ "."))
+
 let sim_cmd =
-  let queue =
-    Arg.(
-      value
-      & opt queue_conv "droptail"
-      & info [ "q"; "queue" ] ~docv:"QUEUE"
-          ~doc:"Queue discipline: droptail, red, sfq, drr, taq or taq+ac.")
-  in
   let capacity =
     Arg.(
       value & opt float 600e3
@@ -395,7 +398,7 @@ let sim_cmd =
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(
       ret
-        (const run $ queue $ capacity $ flows $ rtt_arg $ duration_arg
+        (const run $ queue_arg $ capacity $ flows $ rtt_arg $ duration_arg
        $ buffer_rtts_arg $ seed $ guard $ pcap $ backend_arg $ bg_flows_arg
        $ fluid_dt_arg $ check_arg $ obs_arg $ faults_arg $ resil_arg))
 
@@ -408,9 +411,9 @@ let sweep_cmd =
       & opt (list queue_conv) []
       & info [ "queues" ] ~docv:"QUEUES"
           ~doc:
-            "Comma-separated disciplines (droptail, red, sfq, drr, choke, \
-             choked, codel, las, taq, taq+ac). Default: droptail,taq — or \
-             the full zoo with $(b,--matrix).")
+            ("Comma-separated disciplines (" ^ disc_list
+           ^ "). Default: droptail,taq — or the full zoo with $(b,--matrix)."
+            ))
   in
   let matrix =
     Arg.(
@@ -926,13 +929,6 @@ let replay_cmd =
       required & opt (some string) None
       & info [ "t"; "trace" ] ~docv:"PATH" ~doc:"Trace CSV (from the trace subcommand).")
   in
-  let queue =
-    Arg.(
-      value
-      & opt queue_conv "droptail"
-      & info [ "q"; "queue" ] ~docv:"QUEUE"
-          ~doc:"Queue discipline: droptail, red, sfq, drr, taq or taq+ac.")
-  in
   let capacity =
     Arg.(
       value & opt float 2000e3
@@ -945,8 +941,6 @@ let replay_cmd =
   in
   let run trace_path queue capacity duration =
     let trace = Taq_workload.Trace.load_csv ~path:trace_path in
-    (* Fig1_scatter sizes TAQ for the replay itself. *)
-    let q = Common.marker_of_disc queue in
     let p =
       {
         Fig1_scatter.default with
@@ -957,12 +951,12 @@ let replay_cmd =
     Printf.printf "replaying %d records (%d clients) at %.0f bps under %s\n\n"
       (Array.length trace)
       (Array.length (Taq_workload.Trace.client_ids trace))
-      capacity (Common.queue_name q);
-    Fig1_scatter.print (Fig1_scatter.run_trace p ~queue:q ~trace)
+      capacity queue;
+    Fig1_scatter.print (Fig1_scatter.run_trace p ~queue ~trace)
   in
   let doc = "Replay a proxy access trace through a simulated access link" in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const run $ trace_path $ queue $ capacity $ duration)
+    Term.(const run $ trace_path $ queue_arg $ capacity $ duration)
 
 (* --- trace ------------------------------------------------------------------ *)
 

@@ -282,17 +282,3 @@ let queue_of_disc ?guard_cap ~capacity_bps ~buffer_pkts name =
   | Some (`Taq admission) ->
       Taq (taq_config ~admission ?guard_cap ~capacity_bps ~buffer_pkts ())
   | None -> invalid_arg (Printf.sprintf "Common.queue_of_disc: %S" name)
-
-let sized ~capacity_bps ~buffer_pkts q =
-  queue_of_disc ~capacity_bps ~buffer_pkts (queue_name q)
-
-let taq_marker =
-  (* Placeholder replaced with a per-run capacity-aware config by the
-     experiment drivers. *)
-  Taq (Taq_config.default ~capacity_pkts:1 ~capacity_bps:1.0)
-
-let marker_of_disc name =
-  match List.assoc_opt name disc_table with
-  | Some (`Queue q) -> q
-  | Some (`Taq _) -> taq_marker
-  | None -> invalid_arg (Printf.sprintf "Common.marker_of_disc: %S" name)

@@ -175,18 +175,3 @@ val queue_of_disc :
 (** The selector for a canonical name; the TAQ rows get {!taq_config}
     for this capacity and buffer ([taq+ac] with admission control).
     @raise Invalid_argument on a name outside {!disc_names}. *)
-
-val sized : capacity_bps:float -> buffer_pkts:int -> queue -> queue
-(** [q] re-resolved through the table at this capacity and buffer:
-    any TAQ selector (e.g. {!taq_marker}) becomes plain TAQ sized for
-    the run; other disciplines are unchanged. *)
-
-val taq_marker : queue
-(** A TAQ queue selector whose config is rebuilt per run from the
-    run's capacity and buffer (experiment drivers replace it via
-    {!sized}). *)
-
-val marker_of_disc : string -> queue
-(** The selector for drivers that size TAQ themselves (fault drills,
-    trace replay): both TAQ rows give {!taq_marker}.
-    @raise Invalid_argument on a name outside {!disc_names}. *)

@@ -29,18 +29,19 @@ let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
     ?(capacity_bps = 400e3) ?(duration = 90.0) ?(seed = 1) () =
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0 in
   let flood = Plan.has_flood plan in
-  let queue =
-    (* Rebuild the TAQ marker with a capacity-aware config, mirroring
-       the experiment drivers. Flood plans get the overload guard (the
-       machinery under drill) plus admission control, whose waiting
-       table is one of the guard's pressure signals. *)
+  let q =
+    (* Flood plans get the overload guard (the machinery under drill)
+       plus admission control, whose waiting table is one of the
+       guard's pressure signals. *)
     match queue with
-    | Common.Taq _ when flood ->
+    | "taq" | "taq+ac" when flood ->
         Common.queue_of_disc ~guard_cap:flood_guard_cap ~capacity_bps
           ~buffer_pkts "taq+ac"
-    | q -> Common.sized ~capacity_bps ~buffer_pkts q
+    | name -> Common.queue_of_disc ~capacity_bps ~buffer_pkts name
   in
-  let env = Common.make_env ~faults:plan ~queue ~capacity_bps ~buffer_pkts ~seed () in
+  let env =
+    Common.make_env ~faults:plan ~queue:q ~capacity_bps ~buffer_pkts ~seed ()
+  in
   let completed = ref 0 in
   for _ = 1 to flows do
     ignore
@@ -130,7 +131,7 @@ let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
   let problems = List.rev !problems in
   {
     scenario;
-    queue = Common.queue_name queue;
+    queue;
     flows;
     completed = !completed;
     injected;

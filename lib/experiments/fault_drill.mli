@@ -55,7 +55,7 @@ val flood_guard_cap : int
 val run :
   scenario:string ->
   plan:Taq_fault.Plan.t ->
-  queue:Common.queue ->
+  queue:string ->
   ?flows:int ->
   ?segments:int ->
   ?rtt:float ->
@@ -64,8 +64,10 @@ val run :
   ?seed:int ->
   unit ->
   outcome
-(** Defaults: 8 flows of 400 segments over a 400 kbit/s bottleneck,
-    RTT 0.1 s, 90 s horizon, seed 1. The workload keeps the
+(** [queue] is a {!Common.disc_names} entry, sized for the drill's
+    bottleneck; under a flood plan both TAQ rows run as [taq+ac] with
+    the guard. Defaults: 8 flows of 400 segments over a 400 kbit/s
+    bottleneck, RTT 0.1 s, 90 s horizon, seed 1. The workload keeps the
     bottleneck busy for ≈ 32 s of ideal transfer time, so every
     registry fault window (all end by t = 20 s) sees live traffic,
     with generous slack to finish after [Taq_fault.Plan.horizon]. *)

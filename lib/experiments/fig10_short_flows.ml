@@ -1,5 +1,5 @@
 type params = {
-  queues : Common.queue list;
+  queues : string list;
   capacity_bps : float;
   long_flows : int;
   short_flow_lengths : int list;
@@ -13,7 +13,7 @@ type params = {
 
 let default =
   {
-    queues = [ Common.taq_marker; Common.Droptail ];
+    queues = [ "taq"; "droptail" ];
     capacity_bps = 1000e3;
     long_flows = 50;
     (* 32 short flows spanning 1..80 packets, like the figure's x axis. *)
@@ -42,9 +42,9 @@ let run_one p queue ~seed =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
   in
-  let queue = Common.sized ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
+  let q = Common.queue_of_disc ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
   let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts ~seed ()
+    Common.make_env ~queue:q ~capacity_bps:p.capacity_bps ~buffer_pkts ~seed ()
   in
   ignore
     (Common.spawn_long_flows env ~n:p.long_flows ~rtt:p.rtt ~rtt_jitter:0.1 ());
@@ -73,7 +73,7 @@ let run_one p queue ~seed =
         | Some dt -> dt
         | None -> nan
       in
-      { queue = Common.queue_name queue; packets; download_time })
+      { queue; packets; download_time })
     p.short_flow_lengths
 
 (* Average each flow length's download time over independent runs;

@@ -7,7 +7,7 @@
     flow length until the flow stops being "short". *)
 
 type params = {
-  queues : Common.queue list;
+  queues : string list;  (** discipline names ({!Common.disc_names}) *)
   capacity_bps : float;
   long_flows : int;
   short_flow_lengths : int list;  (** packets per short flow *)

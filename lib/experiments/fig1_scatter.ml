@@ -58,9 +58,9 @@ let run_trace p ~queue ~trace =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
   in
-  let queue = Common.sized ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
+  let q = Common.queue_of_disc ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
   let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
+    Common.make_env ~queue:q ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~seed:p.seed ()
   in
   let tcp = Taq_tcp.Tcp_config.make ~use_syn:true () in
@@ -141,7 +141,7 @@ let run_trace p ~queue ~trace =
 
 let run p =
   let trace = Trace.generate ~params:p.trace ~seed:p.trace_seed () in
-  run_trace p ~queue:Common.Droptail ~trace
+  run_trace p ~queue:"droptail" ~trace
 
 let print r =
   let table =

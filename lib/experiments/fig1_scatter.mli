@@ -51,8 +51,9 @@ val run : params -> result
     figure's setting. *)
 
 val run_trace :
-  params -> queue:Common.queue -> trace:Taq_workload.Trace.t -> result
+  params -> queue:string -> trace:Taq_workload.Trace.t -> result
 (** Replay an arbitrary trace (e.g. one loaded from CSV) under any
-    queue; [params.trace]/[trace_seed] are ignored. *)
+    discipline in {!Common.disc_names}, sized for [params];
+    [params.trace]/[trace_seed] are ignored. *)
 
 val print : result -> unit

@@ -1,5 +1,5 @@
 type params = {
-  queue : Common.queue;
+  queue : string;
   capacity_bps : float;
   rtt : float;
   fair_shares_pkts_per_rtt : float list;
@@ -11,7 +11,7 @@ type params = {
 
 let default =
   {
-    queue = Common.Droptail;
+    queue = "droptail";
     capacity_bps = 1000e3;
     rtt = 0.4;
     fair_shares_pkts_per_rtt = [ 0.25; 0.5; 1.0; 1.25 ];
@@ -48,9 +48,9 @@ let run_one p ~fair_share_pkts ~buffer_rtts ~seed =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt
       ~rtts:buffer_rtts
   in
-  let queue = Common.sized ~capacity_bps:p.capacity_bps ~buffer_pkts p.queue in
+  let q = Common.queue_of_disc ~capacity_bps:p.capacity_bps ~buffer_pkts p.queue in
   let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
+    Common.make_env ~queue:q ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~slice:p.slice ~seed ()
   in
   let flows =

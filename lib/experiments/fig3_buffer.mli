@@ -10,7 +10,7 @@
     controls sojourn time still needs. *)
 
 type params = {
-  queue : Common.queue;  (** default {!Common.Droptail} *)
+  queue : string;  (** a {!Common.disc_names} entry, default droptail *)
   capacity_bps : float;
   rtt : float;
   fair_shares_pkts_per_rtt : float list;

@@ -1,5 +1,5 @@
 type params = {
-  queues : Common.queue list;
+  queues : string list;
   flows : int;
   capacity_bps : float;
   rtt : float;
@@ -11,7 +11,7 @@ type params = {
 
 let default =
   {
-    queues = [ Common.Droptail; Common.taq_marker ];
+    queues = [ "droptail"; "taq" ];
     flows = 180;
     capacity_bps = 600e3;
     rtt = 0.2;
@@ -35,9 +35,9 @@ let run_one p queue =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
   in
-  let queue = Common.sized ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
+  let q = Common.queue_of_disc ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
   let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
+    Common.make_env ~queue:q ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~evolution_window:p.window ~seed:p.seed ()
   in
   ignore (Common.spawn_long_flows env ~n:p.flows ~rtt:p.rtt ~rtt_jitter:0.1 ());
@@ -60,7 +60,7 @@ let run_one p queue =
     }
   in
   {
-    queue = Common.queue_name queue;
+    queue;
     series;
     stalled_fraction = Taq_metrics.Flow_evolution.stalled_fraction counted;
     maintained_fraction = Taq_metrics.Flow_evolution.maintained_fraction counted;

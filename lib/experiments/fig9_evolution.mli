@@ -7,7 +7,7 @@
     maintained count is much higher than under droptail. *)
 
 type params = {
-  queues : Common.queue list;
+  queues : string list;  (** discipline names ({!Common.disc_names}) *)
   flows : int;
   capacity_bps : float;
   rtt : float;

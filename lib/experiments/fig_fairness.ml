@@ -1,5 +1,5 @@
 type params = {
-  queues : Common.queue list;
+  queues : string list;
   capacities_bps : float list;
   fair_shares_bps : float list;
   rtt : float;
@@ -18,7 +18,7 @@ type params = {
    doubles it under load. *)
 let default =
   {
-    queues = [ Common.Droptail ];
+    queues = [ "droptail" ];
     capacities_bps = [ 200e3; 400e3; 600e3; 800e3; 1000e3 ];
     fair_shares_bps = [ 2e3; 4e3; 7e3; 10e3; 15e3; 20e3; 30e3; 40e3; 50e3 ];
     rtt = 0.2;
@@ -43,7 +43,7 @@ let quick =
 let testbed =
   {
     default with
-    queues = [ Common.Droptail; Common.taq_marker ];
+    queues = [ "droptail"; "taq" ];
     capacities_bps = [ 600e3; 1000e3 ];
     fair_shares_bps = [ 4e3; 7e3; 10e3; 15e3; 20e3; 30e3; 40e3; 50e3 ];
     use_syn = true;
@@ -66,9 +66,9 @@ let run_seed p ~queue ~capacity_bps ~fair_share_bps ~seed =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps ~rtt:p.rtt ~rtts:p.buffer_rtts
   in
-  let queue = Common.sized ~capacity_bps ~buffer_pkts queue in
+  let q = Common.queue_of_disc ~capacity_bps ~buffer_pkts queue in
   let env =
-    Common.make_env ~queue ~capacity_bps ~buffer_pkts ~slice:p.slice ~seed ()
+    Common.make_env ~queue:q ~capacity_bps ~buffer_pkts ~slice:p.slice ~seed ()
   in
   let tcp =
     match p.tcp_override with
@@ -82,7 +82,7 @@ let run_seed p ~queue ~capacity_bps ~fair_share_bps ~seed =
   in
   Common.run env ~until:p.duration;
   {
-    queue = Common.queue_name queue;
+    queue;
     capacity_bps;
     flows = n;
     fair_share_bps;

@@ -9,7 +9,7 @@
     (long term). *)
 
 type params = {
-  queues : Common.queue list;
+  queues : string list;  (** discipline names ({!Common.disc_names}) *)
   capacities_bps : float list;
   fair_shares_bps : float list;  (** per-flow targets (x-axis) *)
   rtt : float;

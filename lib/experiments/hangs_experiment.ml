@@ -1,5 +1,5 @@
 type params = {
-  queues : Common.queue list;
+  queues : string list;
   user_counts : int list;
   conns_per_user : int list;
   capacity_bps : float;
@@ -11,7 +11,7 @@ type params = {
 
 let default =
   {
-    queues = [ Common.Droptail; Common.taq_marker ];
+    queues = [ "droptail"; "taq" ];
     user_counts = [ 200; 400 ];
     conns_per_user = [ 4; 2 ];
     capacity_bps = 1000e3;
@@ -42,9 +42,9 @@ let run_one p queue ~users ~conns =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
   in
-  let queue = Common.sized ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
+  let q = Common.queue_of_disc ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
   let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
+    Common.make_env ~queue:q ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~seed:p.seed ()
   in
   let hangs = Taq_metrics.Hangs.create () in
@@ -77,7 +77,7 @@ let run_one p queue ~users ~conns =
       0.0 pools
   in
   {
-    queue = Common.queue_name queue;
+    queue;
     users;
     conns;
     frac_hang_20s =

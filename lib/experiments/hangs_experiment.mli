@@ -10,7 +10,7 @@
     less. *)
 
 type params = {
-  queues : Common.queue list;
+  queues : string list;  (** discipline names ({!Common.disc_names}) *)
   user_counts : int list;
   conns_per_user : int list;
   capacity_bps : float;

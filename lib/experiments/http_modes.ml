@@ -43,9 +43,9 @@ let run_one p queue mode =
   let buffer_pkts =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt ~rtts:1.0
   in
-  let queue = Common.sized ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
+  let q = Common.queue_of_disc ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
   let env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
+    Common.make_env ~queue:q ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~seed:p.seed ()
   in
   let tcp = Taq_tcp.Tcp_config.make ~use_syn:true () in
@@ -100,7 +100,7 @@ let run_one p queue mode =
   Common.run env ~until:p.duration;
   let xs = Array.of_list !times in
   {
-    queue = Common.queue_name queue;
+    queue;
     http_mode = (match mode with Per_object -> "per-object" | Persistent -> "persistent");
     completed = Array.length xs;
     median_download =
@@ -115,7 +115,7 @@ let run p =
   List.concat_map
     (fun queue ->
       List.map (fun mode -> run_one p queue mode) [ Per_object; Persistent ])
-    [ Common.Droptail; Common.taq_marker ]
+    [ "droptail"; "taq" ]
 
 let print rows =
   let table =

@@ -4,7 +4,7 @@ module Source = Taq_fluid.Source
 module Out = Taq_util.Out
 
 type params = {
-  queues : Common.queue list;
+  queues : string list;
   capacity_bps : float;
   fg_flows : int;
   bg_flows : int;
@@ -20,7 +20,7 @@ type params = {
 
 let quick =
   {
-    queues = [ Common.Droptail ];
+    queues = [ "droptail" ];
     capacity_bps = 600e3;
     fg_flows = 8;
     bg_flows = 32;
@@ -45,7 +45,7 @@ let quick =
 let default =
   {
     quick with
-    queues = [ Common.Droptail; Common.taq_marker ];
+    queues = [ "droptail"; "taq" ];
     capacity_bps = 600e3;
     bg_flows = 60;
     duration = 200.0;
@@ -72,10 +72,10 @@ let run_point p queue =
     Common.buffer_for_rtts ~capacity_bps:p.capacity_bps ~rtt:p.rtt
       ~rtts:p.buffer_rtts
   in
-  let queue = Common.sized ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
+  let q = Common.queue_of_disc ~capacity_bps:p.capacity_bps ~buffer_pkts queue in
   (* Reference: everyone is a real packet-level flow. *)
   let ref_env =
-    Common.make_env ~queue ~capacity_bps:p.capacity_bps ~buffer_pkts
+    Common.make_env ~queue:q ~capacity_bps:p.capacity_bps ~buffer_pkts
       ~seed:p.seed ()
   in
   let ref_ids =
@@ -94,7 +94,7 @@ let run_point p queue =
       ()
   in
   let hyb_env =
-    Common.make_env ~backend:(Common.Hybrid fluid_params) ~queue
+    Common.make_env ~backend:(Common.Hybrid fluid_params) ~queue:q
       ~capacity_bps:p.capacity_bps ~buffer_pkts ~seed:p.seed ()
   in
   let source = Option.get hyb_env.Common.fluid in
@@ -122,7 +122,7 @@ let run_point p queue =
     note "drop rate disagrees: packet=%.4f hybrid=%.4f (allowed %.4f)"
       drop_packet drop_hybrid drop_allowed;
   {
-    queue = Common.queue_name queue;
+    queue;
     jain_packet;
     jain_hybrid;
     drop_packet;

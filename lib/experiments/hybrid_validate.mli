@@ -17,7 +17,7 @@
     gate red) if any row disagrees beyond tolerance. *)
 
 type params = {
-  queues : Common.queue list;
+  queues : string list;  (** discipline names ({!Common.disc_names}) *)
   capacity_bps : float;
   fg_flows : int;  (** packet-level foreground cohort, both runs *)
   bg_flows : int;  (** background cohort: packets in the reference, fluid in the hybrid run *)

@@ -190,14 +190,12 @@ let run ?(jobs = 1) ?checkpoint p =
                 (Printf.sprintf "mega shard %s failed: %s" r.Durable.key
                    r.Durable.status)
         in
-        let served (r : _ Durable.result) =
-          match r.Durable.outcome with
-          | Durable.(Restored _ | Hit _) -> true
-          | _ -> false
+        let restored (r : _ Durable.result) =
+          match r.Durable.outcome with Durable.Restored _ -> true | _ -> false
         in
         ( List.map value results,
           List.map (fun (r : _ Durable.result) -> r.Durable.obs) results,
-          List.length (List.filter served results) )
+          List.length (List.filter restored results) )
   in
   let cohort =
     List.fold_left

@@ -57,7 +57,8 @@ type result = {
           [jobs <= 1] without a checkpoint (counters went to the
           caller's collector) *)
   restored_shards : int;
-      (** shards served from checkpoints instead of recomputed *)
+      (** shards restored from journaled checkpoints (cache hits
+          without journal testimony are not counted) *)
 }
 
 type checkpoint = {

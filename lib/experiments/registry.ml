@@ -42,7 +42,7 @@ let fig3 ~full = fig3_body (if full then Fig3_buffer.default else Fig3_buffer.qu
 
 let codel_fig3 ~full =
   let base = if full then Fig3_buffer.default else Fig3_buffer.quick in
-  fig3_body { base with Fig3_buffer.queue = Common.Codel }
+  fig3_body { base with Fig3_buffer.queue = "codel" }
 
 let hangs ~full =
   let p = if full then Hangs_experiment.default else Hangs_experiment.quick in
@@ -54,7 +54,7 @@ let fig6 ~full =
 
 let fig8 ~full =
   let base = if full then Fig_fairness.default else Fig_fairness.quick in
-  let p = { base with Fig_fairness.queues = [ Common.taq_marker ] } in
+  let p = { base with Fig_fairness.queues = [ "taq" ] } in
   Fig_fairness.print (Fig_fairness.run p)
 
 let fig9 ~full =
@@ -90,7 +90,7 @@ let aqm ~full =
   let p =
     {
       base with
-      Fig_fairness.queues = [ Common.Droptail; Common.Red; Common.Sfq; Common.Drr ];
+      Fig_fairness.queues = [ "droptail"; "red"; "sfq"; "drr" ];
       capacities_bps = (if full then [ 200e3; 600e3; 1000e3 ] else [ 600e3 ]);
       fair_shares_bps = [ 4e3; 10e3; 20e3 ];
     }
@@ -111,7 +111,7 @@ let cubic ~full =
   let p =
     {
       base with
-      Fig_fairness.queues = [ Common.Droptail; Common.taq_marker ];
+      Fig_fairness.queues = [ "droptail"; "taq" ];
       capacities_bps = (if full then base.Fig_fairness.capacities_bps else [ 600e3 ]);
       tcp_override =
         Some { Taq_tcp.Tcp_config.cubic with Taq_tcp.Tcp_config.use_syn = false };
@@ -136,7 +136,7 @@ let flood ~full =
         | None -> invalid_arg ("registry: unknown flood scenario " ^ name)
         | Some sc ->
             Fault_drill.run ~scenario:sc.Taq_fault.Scenarios.name
-              ~plan:sc.Taq_fault.Scenarios.plan ~queue:Common.taq_marker ())
+              ~plan:sc.Taq_fault.Scenarios.plan ~queue:"taq" ())
       scenarios
   in
   Fault_drill.print outcomes;

@@ -154,9 +154,7 @@ let task : type a. a point -> a Task.t =
                 ())
       | Drill { scenario; queue } ->
           Fault_drill.run ~scenario:scenario.Scenarios.name
-            ~plan:scenario.Scenarios.plan
-            ~queue:(Common.marker_of_disc queue)
-            ~seed ())
+            ~plan:scenario.Scenarios.plan ~queue ~seed ())
 
 let grid setting ~queues ~capacities ~fair_shares ~reps =
   let queues = if queues = [] then [ "droptail"; "taq" ] else queues in

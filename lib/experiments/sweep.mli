@@ -87,8 +87,8 @@ val drills :
   queues:string list ->
   (Fault_drill.outcome point list, string) result
 (** Scenario-major; restart-only plans drill TAQ only. [Error] on
-    [taq+ac]: the drill takes TAQ's admission setting from the plan,
-    so [taq+ac] would alias [taq]. *)
+    [taq+ac]: the drill takes TAQ's admission setting from the plan
+    (flood plans turn it on). *)
 
 val matrix_report : string list -> Taq_util.Table.t
 (** The merged per-cell table (Jain, drop rate, utilization,

@@ -28,26 +28,22 @@ let obs_entry key = Cache.key ~parts:[ key; "obs" ]
 
 let digest payload = Digest.to_hex (Digest.string payload)
 
-(* A stored result, when it is loadable: the payload (matching the
-   journal's [digest] when one testifies to it) decodes, and with
-   counters on the obs snapshot parses. *)
+(* A stored result with its payload digest, when it is loadable: the
+   payload (matching the journal's [digest] when one testifies to it)
+   decodes, and with counters on the obs snapshot parses. *)
 let load cache codec ?digest:expected key =
-  let verified payload =
-    match expected with None -> true | Some d -> d = digest payload
+  let ( let* ) = Option.bind in
+  let* payload = Cache.find cache ~key:(payload_entry key) in
+  let d = digest payload in
+  let* v =
+    if expected <> None && expected <> Some d then None
+    else codec.decode ~key payload
   in
-  match Cache.find cache ~key:(payload_entry key) with
-  | Some payload when verified payload -> (
-      match codec.decode ~key payload with
-      | None -> None
-      | Some v when not (Obs.policy_enabled ()) -> Some (v, Obs.empty_snapshot)
-      | Some v -> (
-          match Cache.find cache ~key:(obs_entry key) with
-          | None -> None
-          | Some s -> (
-              match Obs.snapshot_of_string s with
-              | Ok snap -> Some (v, snap)
-              | Error _ -> None)))
-  | Some _ | None -> None
+  if not (Obs.policy_enabled ()) then Some (v, Obs.empty_snapshot, d)
+  else
+    let* s = Cache.find cache ~key:(obs_entry key) in
+    let* snap = Result.to_option (Obs.snapshot_of_string s) in
+    Some (v, snap, d)
 
 (* Persist a computed task, then journal its Finish record. *)
 let persist cache journal codec key v snap =
@@ -94,21 +90,32 @@ let run ?jobs ?timeout_s ?retries ?cache ?journal ?(resume = false) ?on_done
           | Some path when resume -> Journal.finished (Journal.replay ~path)
           | Some _ | None -> Hashtbl.create 1
         in
-        List.iter
-          (fun t ->
-            let key = Task.key t in
-            match
-              Option.bind (Hashtbl.find_opt finished key) (fun digest ->
-                  load cache codec ~digest key)
-            with
-            | Some (v, obs) -> serve key "restored" (Restored v) obs
-            | None ->
-                Option.iter
-                  (fun (v, obs) -> serve key "hit" (Hit v) obs)
-                  (load cache codec key))
-          tasks;
+        let hits =
+          List.filter_map
+            (fun t ->
+              let key = Task.key t in
+              match
+                Option.bind (Hashtbl.find_opt finished key) (fun digest ->
+                    load cache codec ~digest key)
+              with
+              | Some (v, obs, _) ->
+                  serve key "restored" (Restored v) obs;
+                  None
+              | None ->
+                  Option.map
+                    (fun (v, obs, digest) ->
+                      serve key "hit" (Hit v) obs;
+                      Journal.Finish { key; digest })
+                    (load cache codec key))
+            tasks
+        in
+        (* A hit is on disk, so the journal may testify to it: a later
+           resume restores it like a task computed in this run. *)
         Option.map
-          (fun path -> Journal.open_append ~path ~fresh:(not resume) ())
+          (fun path ->
+            let j = Journal.open_append ~path ~fresh:(not resume) () in
+            List.iter (Journal.append j) hits;
+            j)
           journal
   in
   let on_start key =

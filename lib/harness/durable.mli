@@ -6,7 +6,8 @@
     - on resume, replays the write-ahead {!Journal} and restores each
       journaled-complete task whose cached payload matches the
       journal's digest;
-    - probes the {!Cache} for the other tasks;
+    - probes the {!Cache} for the other tasks, journaling a [Finish]
+      record for each hit (its payload is on disk);
     - executes the rest on the {!Pool}, journaling [Start] before a
       task's first attempt;
     - persists each computed task as it finishes: payload, then obs
@@ -32,7 +33,7 @@ val identity : string codec
 
 type 'a outcome =
   | Restored of 'a  (** journaled complete; payload digest verified *)
-  | Hit of 'a  (** in the cache, without journal testimony *)
+  | Hit of 'a  (** in the cache, without prior journal testimony *)
   | Computed of 'a
   | Failed of string  (** the pool's error message *)
   | Cancelled  (** skipped by cooperative cancellation *)

@@ -399,20 +399,32 @@ let prop_flow_permutation =
    scheduling-dependent nondeterminism (hidden shared state, ambient
    PRNGs, domain-local sinks). *)
 let mini_sweep_tasks () =
-  let module Sweep = Taq_experiments.Sweep in
-  List.map Sweep.task
-    (Sweep.grid
-       {
-         Sweep.rtt = 0.1;
-         duration = 12.0;
-         buffer_rtts = 4.0;
-         faults = None;
-         guard = None;
-         resil = None;
-         backend = { Sweep.kind = `Packet; bg_flows = 0; fluid_dt = 0.05 };
-       }
-       ~queues:[ "droptail"; "sfq"; "taq" ] ~capacities:[ 200e3 ]
-       ~fair_shares:[ 10e3; 20e3 ] ~reps:1)
+  List.map
+    (fun (name, fair_share) ->
+      let key = Printf.sprintf "mini/%s/fs=%.0f" name fair_share in
+      Harness.Task.make ~key (fun ~seed ->
+          Harness.Capture.text (fun () ->
+              let capacity = 200e3 in
+              let flows =
+                Common.flows_for_fair_share ~capacity_bps:capacity
+                  ~fair_share_bps:fair_share
+              in
+              let queue =
+                Common.queue_of_disc ~capacity_bps:capacity ~buffer_pkts:20 name
+              in
+              let env =
+                Common.make_env ~queue ~capacity_bps:capacity ~buffer_pkts:20
+                  ~seed ()
+              in
+              let ids =
+                Common.spawn_long_flows env ~n:flows ~rtt:0.1 ~rtt_jitter:0.1 ()
+              in
+              Common.run env ~until:12.0;
+              Taq_util.Out.printf "%s jain=%.6f util=%.6f loss=%.6f\n" key
+                (Taq_metrics.Slicer.long_term_jain env.Common.slicer ~flows:ids)
+                (Common.utilization env)
+                (Common.measured_loss_rate env))))
+    [ ("droptail", 10e3); ("sfq", 10e3); ("droptail", 20e3); ("taq", 10e3) ]
 
 let outputs ~jobs =
   Harness.Pool.run ~jobs (mini_sweep_tasks ())

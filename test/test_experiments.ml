@@ -23,20 +23,20 @@ let test_buffer_for_rtts () =
 
 let test_env_queue_kinds () =
   List.iter
-    (fun queue ->
+    (fun name ->
+      let queue = Common.queue_of_disc ~capacity_bps:1e6 ~buffer_pkts:20 name in
       let env = Common.make_env ~queue ~capacity_bps:1e6 ~buffer_pkts:20 () in
       ignore (Common.spawn_long_flows env ~n:2 ~rtt:0.1 ());
       Common.run env ~until:5.0;
       Alcotest.(check bool)
-        (Common.queue_name queue ^ " moves traffic")
+        (name ^ " moves traffic")
         true
         (Common.utilization env > 0.1))
-    [ Common.Droptail; Common.Red; Common.Sfq; Common.taq_marker ]
+    [ "droptail"; "red"; "sfq"; "taq" ]
 
 let test_env_taq_accessible () =
-  let env =
-    Common.make_env ~queue:Common.taq_marker ~capacity_bps:1e6 ~buffer_pkts:20 ()
-  in
+  let queue = Common.queue_of_disc ~capacity_bps:1e6 ~buffer_pkts:20 "taq" in
+  let env = Common.make_env ~queue ~capacity_bps:1e6 ~buffer_pkts:20 () in
   Alcotest.(check bool) "taq disc exposed" true (env.Common.taq <> None)
 
 (* --- Fairness driver (figs 2/8/11) -------------------------------------- *)
@@ -51,7 +51,7 @@ let tiny_fairness queues =
   }
 
 let test_fairness_row_structure () =
-  let rows = Fig_fairness.run (tiny_fairness [ Common.Droptail ]) in
+  let rows = Fig_fairness.run (tiny_fairness [ "droptail" ]) in
   Alcotest.(check int) "one row per point" 2 (List.length rows);
   List.iter
     (fun r ->
@@ -65,7 +65,7 @@ let test_fairness_row_structure () =
 let test_fairness_improves_with_share () =
   (* More per-flow bandwidth means better short-term fairness — the
      monotone trend both Fig 2 and Fig 8 rest on. *)
-  let rows = Fig_fairness.run (tiny_fairness [ Common.Droptail ]) in
+  let rows = Fig_fairness.run (tiny_fairness [ "droptail" ]) in
   match rows with
   | [ low; high ] ->
       Alcotest.(check bool)
@@ -76,8 +76,8 @@ let test_fairness_improves_with_share () =
   | _ -> Alcotest.fail "expected two rows"
 
 let test_taq_beats_droptail_in_driver () =
-  let dt = Fig_fairness.run (tiny_fairness [ Common.Droptail ]) in
-  let taq = Fig_fairness.run (tiny_fairness [ Common.taq_marker ]) in
+  let dt = Fig_fairness.run (tiny_fairness [ "droptail" ]) in
+  let taq = Fig_fairness.run (tiny_fairness [ "taq" ]) in
   let mean rows =
     Taq_util.Stats.mean
       (Array.of_list (List.map (fun r -> r.Fig_fairness.jain_short) rows))
@@ -184,7 +184,7 @@ let test_fig10_short_flows_complete_and_scale () =
   let p =
     {
       Fig10_short_flows.quick with
-      Fig10_short_flows.queues = [ Common.taq_marker ];
+      Fig10_short_flows.queues = [ "taq" ];
       long_flows = 20;
       short_flow_lengths = [ 5; 40 ];
       warmup = 20.0;
@@ -258,7 +258,7 @@ let test_hangs_contention_increases_hangs () =
   let p =
     {
       Hangs_experiment.quick with
-      Hangs_experiment.queues = [ Common.Droptail ];
+      Hangs_experiment.queues = [ "droptail" ];
       user_counts = [ 20; 80 ];
       conns_per_user = [ 4 ];
       duration = 120.0;

@@ -268,11 +268,11 @@ let drill ?(scenario = "test") ?flows ?segments ?duration ~plan ~queue ?seed ()
 
 let test_injector_deterministic () =
   let plan = ok_plan "corrupt@2-20:p=0.1;dup@3-10:p=0.1" in
-  let run () = drill ~plan ~queue:Common.Droptail ~seed:7 () in
+  let run () = drill ~plan ~queue:"droptail" ~seed:7 () in
   let a = run () and b = run () in
   Alcotest.(check bool) "same seed, identical outcome" true (a = b);
   Alcotest.(check bool) "injection happened" true (a.Fault_drill.injected > 0);
-  let c = drill ~plan ~queue:Common.Droptail ~seed:8 () in
+  let c = drill ~plan ~queue:"droptail" ~seed:8 () in
   Alcotest.(check bool)
     "different seed, different fault sequence" true
     (a.Fault_drill.injected <> c.Fault_drill.injected)
@@ -282,7 +282,7 @@ let test_injector_duplicate_all () =
      duplicated, so the counter must be large and the flows must still
      complete (duplicates are absorbed by TCP). *)
   let o =
-    drill ~plan:(ok_plan "dup@1-30:p=1") ~queue:Common.Droptail ~flows:4
+    drill ~plan:(ok_plan "dup@1-30:p=1") ~queue:"droptail" ~flows:4
       ~segments:100 ()
   in
   Alcotest.(check bool) "flows complete" true o.Fault_drill.ok;
@@ -292,7 +292,7 @@ let test_injector_duplicate_all () =
 
 let test_injector_ack_delay () =
   let o =
-    drill ~plan:(ok_plan "ackdelay@2-8:delay=0.12") ~queue:Common.Droptail ()
+    drill ~plan:(ok_plan "ackdelay@2-8:delay=0.12") ~queue:"droptail" ()
   in
   Alcotest.(check bool) "drill ok" true o.Fault_drill.ok;
   Alcotest.(check bool) "acks were delayed" true (o.Fault_drill.injected > 0)
@@ -399,7 +399,7 @@ let test_drill_restart_proves_relearning () =
   let s = Option.get (Scenarios.find "middlebox-restart-under-load") in
   let o =
     Fault_drill.run ~scenario:s.Scenarios.name ~plan:s.Scenarios.plan
-      ~queue:Common.taq_marker ()
+      ~queue:"taq" ()
   in
   Alcotest.(check bool) "drill ok" true o.Fault_drill.ok;
   Alcotest.(check int) "both restarts applied" 2 o.Fault_drill.restarts;
@@ -418,7 +418,7 @@ let test_drill_flood_arc () =
   let s = Option.get (Scenarios.find "syn-flood-churn") in
   let o =
     Fault_drill.run ~scenario:s.Scenarios.name ~plan:s.Scenarios.plan
-      ~queue:Common.taq_marker ()
+      ~queue:"taq" ()
   in
   Alcotest.(check bool)
     (Printf.sprintf "drill ok (%s)" (String.concat "; " o.Fault_drill.problems))
@@ -566,7 +566,7 @@ let prop_flood_guard_arc =
         ok_plan (Printf.sprintf "flood@5+%g:rate=%g,kind=%s" dur rate kind)
       in
       let o =
-        Fault_drill.run ~scenario:"prop-flood" ~plan ~queue:Common.taq_marker ()
+        Fault_drill.run ~scenario:"prop-flood" ~plan ~queue:"taq" ()
       in
       o.Fault_drill.ok
       && o.Fault_drill.degraded_entered > 0
@@ -615,17 +615,17 @@ let () =
       ( "drill",
         [
           Alcotest.test_case "flap-slow-start/droptail" `Quick
-            (test_drill_registry_scenario "flap-slow-start" Common.Droptail);
+            (test_drill_registry_scenario "flap-slow-start" "droptail");
           Alcotest.test_case "flap-slow-start/taq" `Quick
-            (test_drill_registry_scenario "flap-slow-start" Common.taq_marker);
+            (test_drill_registry_scenario "flap-slow-start" "taq");
           Alcotest.test_case "corruption-storm/taq" `Quick
-            (test_drill_registry_scenario "corruption-storm" Common.taq_marker);
+            (test_drill_registry_scenario "corruption-storm" "taq");
           Alcotest.test_case "brownout-half-rate/droptail" `Quick
-            (test_drill_registry_scenario "brownout-half-rate" Common.Droptail);
+            (test_drill_registry_scenario "brownout-half-rate" "droptail");
           Alcotest.test_case "brownout-half-rate/taq" `Quick
-            (test_drill_registry_scenario "brownout-half-rate" Common.taq_marker);
+            (test_drill_registry_scenario "brownout-half-rate" "taq");
           Alcotest.test_case "jitter-storm/taq" `Quick
-            (test_drill_registry_scenario "jitter-storm" Common.taq_marker);
+            (test_drill_registry_scenario "jitter-storm" "taq");
           Alcotest.test_case "restart proves re-learning" `Quick
             test_drill_restart_proves_relearning;
           Alcotest.test_case "flood arc" `Quick test_drill_flood_arc;

@@ -941,7 +941,15 @@ let test_mega_checkpoint_resume () =
           Alcotest.(check bool) "merged counters identical" true
             (same_counters
                (Obs.merge_all resumed.Mega_tier.obs_snaps)
-               (Obs.merge_all full.Mega_tier.obs_snaps))))
+               (Obs.merge_all full.Mega_tier.obs_snaps));
+          (* A plain rerun serves both shards from the cache without
+             counting them restored, and journals them for the next
+             resume. *)
+          let rerun = Mega_tier.run ~jobs:2 ~checkpoint:(checkpoint false) p in
+          let again = Mega_tier.run ~jobs:2 ~checkpoint:(checkpoint true) p in
+          Alcotest.(check (pair int int))
+            "restored by a plain rerun, then by a resume" (0, 2)
+            (rerun.Mega_tier.restored_shards, again.Mega_tier.restored_shards)))
 
 (* --- Task keys: pinned to their historical strings ------------------------- *)
 
@@ -989,8 +997,8 @@ let test_task_keys_pinned () =
     (Result.map (List.map Sweep.key)
        (Sweep.drills ~scenarios:[ flap ] ~queues:[ "taq" ]))
 
-(* taq+ac would alias plain taq in a drill: the drill rebuilds TAQ's
-   config from the plan, so both would run under one key. *)
+(* The drill takes TAQ's admission setting from the plan (flood plans
+   turn it on), so taq+ac is not a drill queue. *)
 let test_drills_reject_taq_ac () =
   let flap = Option.get (Taq_fault.Scenarios.find "flap-slow-start") in
   Alcotest.(check bool)

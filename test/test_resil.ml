@@ -81,13 +81,14 @@ let test_policy_rejects () =
 
 (* A small long-flow dumbbell under [plan], monitored with [params];
    returns the finalized rows. Everything derives from [seed]. *)
-let monitored_run ?(params = Policy.default) ?(queue = Common.Droptail)
+let monitored_run ?(params = Policy.default) ?(queue = "droptail")
     ?(seed = 1) ~plan ~until () =
   let capacity_bps = 400e3 in
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt:0.1 ~rtts:1.0 in
   let env =
-    Common.make_env ~faults:plan ~resil:params ~queue ~capacity_bps
-      ~buffer_pkts ~slice:1.0 ~seed ()
+    Common.make_env ~faults:plan ~resil:params
+      ~queue:(Common.queue_of_disc ~capacity_bps ~buffer_pkts queue)
+      ~capacity_bps ~buffer_pkts ~slice:1.0 ~seed ()
   in
   ignore (Common.spawn_long_flows env ~n:8 ~rtt:0.1 ());
   Common.run env ~until;
@@ -188,7 +189,7 @@ let test_monitor_stationary_loss () =
 let test_monitor_deterministic () =
   let lines () =
     List.map Monitor.row_line
-      (monitored_run ~queue:Common.taq_marker
+      (monitored_run ~queue:"taq"
          ~plan:(plan_of "brownout@5+4:frac=0.5") ~until:25.0 ~seed:11 ())
   in
   Alcotest.(check (list string))
@@ -204,13 +205,14 @@ let test_monitor_read_only () =
     let buffer_pkts =
       Common.buffer_for_rtts ~capacity_bps ~rtt:0.1 ~rtts:1.0
     in
+    let queue = Common.queue_of_disc ~capacity_bps ~buffer_pkts "taq" in
     let env =
       if with_resil then
         Common.make_env ~faults:(plan_of "flap@4+1") ~resil:Policy.default
-          ~queue:Common.taq_marker ~capacity_bps ~buffer_pkts ~seed:9 ()
+          ~queue ~capacity_bps ~buffer_pkts ~seed:9 ()
       else
-        Common.make_env ~faults:(plan_of "flap@4+1") ~queue:Common.taq_marker
-          ~capacity_bps ~buffer_pkts ~seed:9 ()
+        Common.make_env ~faults:(plan_of "flap@4+1") ~queue ~capacity_bps
+          ~buffer_pkts ~seed:9 ()
     in
     ignore (Common.spawn_long_flows env ~n:6 ~rtt:0.1 ());
     Common.run env ~until:20.0;
