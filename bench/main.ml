@@ -131,8 +131,8 @@ let micro ~full =
 let usage () =
   Printf.eprintf
     "usage: main.exe [--quick|--full] [--jobs N] [--check[=GROUPS]] \
-     [--faults=PLAN] [--obs[=SPEC]] [--compare BASELINE.json] \
-     [--tolerance PCT] [--write-baseline PATH] [TARGET...]\n\
+     [--obs[=SPEC]] [--compare BASELINE.json] [--tolerance PCT] \
+     [--write-baseline PATH] [TARGET...]\n\
      known targets: %s, micro\n"
     (String.concat ", " Registry.names);
   exit 2
@@ -140,17 +140,6 @@ let usage () =
 let enable_check spec =
   match Taq_check.Check.groups_of_string spec with
   | Ok groups -> Taq_check.Check.set_policy ~mode:Taq_check.Check.Raise ~groups ()
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-
-(* [--faults=PLAN] installs the ambient fault plan (a plan expression
-   or a scenario name) before any target runs; every environment the
-   figure targets build picks it up — handy for benchmarking figure
-   pipelines under adverse conditions. *)
-let enable_faults spec =
-  match Taq_fault.Scenarios.plan_of_string spec with
-  | Ok plan -> Taq_fault.Plan.set_ambient plan
   | Error msg ->
       Printf.eprintf "%s\n" msg;
       exit 2
@@ -227,39 +216,35 @@ let parse_args args =
     | arg :: rest -> (
         match
           ( prefixed "--check=" arg,
-            prefixed "--faults=" arg,
             prefixed "--obs=" arg,
             prefixed "--compare=" arg,
             prefixed "--tolerance=" arg,
             prefixed "--write-baseline=" arg,
             prefixed "--jobs=" arg )
         with
-        | Some spec, _, _, _, _, _, _ ->
+        | Some spec, _, _, _, _, _ ->
             enable_check spec;
             go rest
-        | _, Some spec, _, _, _, _, _ ->
-            enable_faults spec;
-            go rest
-        | _, _, Some spec, _, _, _, _ ->
+        | _, Some spec, _, _, _, _ ->
             obs_set := true;
             enable_obs spec;
             go rest
-        | _, _, _, Some path, _, _, _ ->
+        | _, _, Some path, _, _, _ ->
             compare_path := Some path;
             go rest
-        | _, _, _, _, Some pct, _, _ ->
+        | _, _, _, Some pct, _, _ ->
             set_tolerance pct;
             go rest
-        | _, _, _, _, _, Some path, _ ->
+        | _, _, _, _, Some path, _ ->
             baseline_out := Some path;
             go rest
-        | _, _, _, _, _, _, Some n -> (
+        | _, _, _, _, _, Some n -> (
             match int_of_string_opt n with
             | Some n when n >= 1 ->
                 jobs := n;
                 go rest
             | _ -> usage ())
-        | None, None, None, None, None, None, None ->
+        | None, None, None, None, None, None ->
             if String.length arg > 1 && arg.[0] = '-' then usage ()
             else begin
               names := arg :: !names;

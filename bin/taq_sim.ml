@@ -100,11 +100,10 @@ let finish_obs snap =
 
 (* --- fault injection --------------------------------------------------- *)
 
-(* [--faults=PLAN] installs the ambient fault plan before any
-   simulation (or worker domain) starts; every environment built
-   afterwards attaches an injector seeded from its own root PRNG.
-   PLAN is either a plan expression ("flap@5+2;corrupt@8-12:p=0.01")
-   or a registered scenario name ("flap-slow-start"). *)
+(* [--faults=PLAN] is passed to every environment the command builds,
+   which attaches an injector seeded from its own root PRNG. PLAN is
+   either a plan expression ("flap@5+2;corrupt@8-12:p=0.01") or a
+   registered scenario name ("flap-slow-start"). *)
 let faults_arg =
   Arg.(
     value
@@ -125,21 +124,18 @@ let setup_faults ?run_until spec =
   | Some s ->
       Result.bind (Scenarios.plan_of_string s) (fun plan ->
           Result.map
-            (fun () ->
-              Fault_plan.set_ambient plan;
-              Some plan)
+            (fun () -> Some plan)
             (match run_until with
             | Some run_until -> Fault_plan.check_within ~run_until plan
             | None -> Ok ()))
 
 (* --- resilience SLOs ---------------------------------------------------- *)
 
-(* [--resil] / [--resil=SPEC] installs the ambient resilience policy
-   before any simulation (or worker domain) starts, mirroring --check:
-   every environment built afterwards attaches a read-only
-   steady-state/recovery monitor against its fault plan. The monitor
-   never perturbs the trajectory, so metrics with and without --resil
-   are byte-identical. *)
+(* [--resil] / [--resil=SPEC] is passed to every environment the
+   command builds, which attaches a read-only steady-state/recovery
+   monitor against its fault plan. The monitor never perturbs the
+   trajectory, so metrics with and without --resil are
+   byte-identical. *)
 let resil_arg =
   Arg.(
     value
@@ -158,12 +154,7 @@ let resil_arg =
 let setup_resil spec =
   match spec with
   | None -> Ok None
-  | Some s -> (
-      match Taq_resil.Policy.params_of_spec s with
-      | Ok p ->
-          Taq_resil.Policy.set_ambient p;
-          Ok (Some p)
-      | Error msg -> Error msg)
+  | Some s -> Result.map Option.some (Taq_resil.Policy.params_of_spec s)
 
 (* --- traffic backend ---------------------------------------------------- *)
 
@@ -211,10 +202,9 @@ let experiment_cmd =
   let full_arg =
     Arg.(value & flag & info [ "full" ] ~doc:"Full-fidelity parameters.")
   in
-  let run name full check obs faults =
+  let run name full check obs =
     let* enabled = setup_check check in
     let* obs_enabled = setup_obs obs in
-    let* _plan = setup_faults faults in
     match Registry.find name with
     | Some t -> (
         try
@@ -232,7 +222,7 @@ let experiment_cmd =
   let doc = "Reproduce one of the paper's figures" in
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
-      ret (const run $ name_arg $ full_arg $ check_arg $ obs_arg $ faults_arg))
+      ret (const run $ name_arg $ full_arg $ check_arg $ obs_arg))
 
 (* --- sim ---------------------------------------------------------------- *)
 
@@ -299,8 +289,8 @@ let sim_cmd =
       bg_flows fluid_dt check obs faults resil =
    let* check_enabled = setup_check check in
    let* obs_enabled = setup_obs obs in
-   let* _plan = setup_faults ~run_until:duration faults in
-   let* _resil = setup_resil resil in
+   let* faults = setup_faults ~run_until:duration faults in
+   let* resil = setup_resil resil in
    (try
     let buffer_pkts =
       Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
@@ -315,8 +305,8 @@ let sim_cmd =
         queue
     in
     let env =
-      Common.make_env ~backend ~queue:q ~capacity_bps:capacity ~buffer_pkts
-        ~seed ()
+      Common.make_env ?faults ?resil ~backend ~queue:q ~capacity_bps:capacity
+        ~buffer_pkts ~seed ()
     in
     let log =
       Option.map
@@ -777,7 +767,7 @@ let faults_cmd =
     else
       let* check_enabled = setup_check check in
       let* obs_enabled = setup_obs obs in
-      let* _resil = setup_resil resil in
+      let* resil = setup_resil resil in
       let* scenarios =
         match scenario with
         | None -> Ok Scenarios.all
@@ -789,7 +779,7 @@ let faults_cmd =
                   (Printf.sprintf "unknown scenario %S (known: %s)" name
                      (String.concat ", " Scenarios.names)))
       in
-      let* drills = Sweep.drills ~scenarios ~queues in
+      let* drills = Sweep.drills ~resil ~scenarios ~queues in
       try
         Harness.Pool.install_signal_cancellation ~label:"fault drills" ();
         let results =

@@ -45,10 +45,7 @@ type t = {
   obs_cap_evictions : int ref;
 }
 
-let create ?obs ~config ~now () =
-  let obs =
-    match obs with Some o -> o | None -> Taq_obs.Obs.ambient ()
-  in
+let create ~obs ~config ~now () =
   {
     config;
     now;

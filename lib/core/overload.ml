@@ -28,9 +28,7 @@ type t = {
   mutable degraded_exited : int;
 }
 
-let create ?check ?obs ~guard ~cap ~now () =
-  let check = match check with Some c -> c | None -> Check.ambient () in
-  let obs = match obs with Some o -> o | None -> Obs.ambient () in
+let create ~check ~obs ~guard ~cap ~now () =
   let t0 = now () in
   {
     guard;

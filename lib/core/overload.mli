@@ -44,16 +44,15 @@ val mode_name : mode -> string
 type t
 
 val create :
-  ?check:Taq_check.Check.t ->
-  ?obs:Taq_obs.Obs.t ->
+  check:Taq_check.Check.t ->
+  obs:Taq_obs.Obs.t ->
   guard:Taq_config.guard ->
   cap:int ->
   now:(unit -> float) ->
   unit ->
   t
 (** [cap] is [Taq_config.max_tracked_flows], used only for the
-    tracked-flows invariant; [check]/[obs] default to the ambient
-    instances. *)
+    tracked-flows invariant. *)
 
 val mode : t -> mode
 

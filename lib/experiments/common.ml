@@ -146,15 +146,11 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
   let disc = Taq_queueing.Observed.wrap ~obs disc in
   let net = Dumbbell.create ~check ~sim ~capacity_bps ~disc () in
   let loss = Taq_metrics.Loss_monitor.attach (Dumbbell.link net) in
-  (* Fault injection: an explicit plan wins; otherwise the ambient
-     plan installed by --faults (if any). The injector's PRNG is split
-     from the env root only when a plan is present, so fault-free runs
-     keep byte-identical random streams with or without this layer. *)
-  let fault_plan =
-    match faults with Some p -> Some p | None -> Taq_fault.Plan.ambient ()
-  in
-  let faults =
-    match fault_plan with
+  (* Fault injection. The injector's PRNG is split from the env root
+     only when a plan is present, so fault-free runs keep
+     byte-identical random streams with or without this layer. *)
+  let injector =
+    match faults with
     | Some plan when not (Taq_fault.Plan.is_empty plan) ->
         Some
           (Taq_fault.Injector.install ?taq:!taq ~net
@@ -169,22 +165,18 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
           (Taq_fluid.Source.attach ~check ~obs ?filter:fluid_filter ~sim
              ~link:(Dumbbell.link net) ~params ~until:Float.infinity ())
   in
-  (* Resilience monitor: an explicit parameter set wins; otherwise the
-     ambient policy installed by --resil (if any). The monitor is
-     read-only (no PRNG draws, no queue perturbation), so attaching it
-     never changes the simulated trajectory — metrics with and without
-     --resil are byte-identical. It is armed by {!run}. *)
-  let resil_params =
-    match resil with Some p -> Some p | None -> Taq_resil.Policy.ambient ()
-  in
+  (* Resilience monitor. It is read-only (no PRNG draws, no queue
+     perturbation), so attaching it never changes the simulated
+     trajectory — metrics with and without --resil are byte-identical.
+     It is armed by {!run}. *)
   let resil =
-    match resil_params with
+    match resil with
     | None -> None
     | Some params ->
         Some
           (Taq_resil.Monitor.create ~params ~check ~obs ~sim
              ~link:(Dumbbell.link net)
-             ~plan:(Option.value fault_plan ~default:[])
+             ~plan:(Option.value faults ~default:[])
              ())
   in
   {
@@ -197,7 +189,7 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
     prng;
     check;
     obs;
-    faults;
+    faults = injector;
     fluid;
     resil;
   }

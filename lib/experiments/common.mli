@@ -43,14 +43,13 @@ type env = {
       (** the env-wide observability instance (shared the same way);
           snapshot it with [Taq_obs.Obs.snapshot] after a run *)
   faults : Taq_fault.Injector.t option;
-      (** present when a fault plan (explicit or ambient [--faults])
-          was installed on this environment *)
+      (** present when a non-empty [faults] plan was passed to
+          {!make_env} *)
   fluid : Taq_fluid.Source.t option;
       (** present when the env was built with [backend = Hybrid _] *)
   resil : Taq_resil.Monitor.t option;
-      (** present when resilience monitoring was requested (explicit
-          [resil] parameter or ambient [--resil] policy); armed by
-          {!run}, harvested with {!resil_rows} *)
+      (** present when {!make_env} was given [resil] parameters; armed
+          by {!run}, harvested with {!resil_rows} *)
 }
 
 (** {1 Traffic backends}
@@ -91,15 +90,13 @@ val make_env :
     (default [Taq_obs.Obs.ambient ()]) threads one observability
     instance through the simulator, link, discipline (via
     {!Taq_queueing.Observed}) and fault injector; pass an explicit
-    instance to isolate a single env's counters. [faults]
-    (default [Taq_fault.Plan.ambient ()], i.e. the CLI's [--faults]
-    plan when one was installed) attaches a fault injector to the
-    bottleneck, seeded from a split of the env's root PRNG; fault-free
-    envs draw exactly the random streams they always did. [resil]
-    (default [Taq_resil.Policy.ambient ()], i.e. the CLI's [--resil]
-    parameters when installed) attaches a {!Taq_resil.Monitor} to the
-    bottleneck against the resolved fault plan; the monitor is
-    read-only, so attaching it never changes the simulated trajectory.
+    instance to isolate a single env's counters. [faults] (default:
+    none) attaches a fault injector to the bottleneck, seeded from a
+    split of the env's root PRNG; fault-free envs draw exactly the
+    random streams they always did. [resil] (default: none) attaches a
+    {!Taq_resil.Monitor} to the bottleneck against the [faults] plan;
+    the monitor is read-only, so attaching it never changes the
+    simulated trajectory.
     [backend]
     (default [Packet]) selects the traffic backend: [Hybrid p]
     attaches a {!Taq_fluid.Source} to the bottleneck (ticking every

@@ -25,8 +25,8 @@ type outcome = {
    legitimate drill flows never come near it on their own. *)
 let flood_guard_cap = 256
 
-let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
-    ?(capacity_bps = 400e3) ?(duration = 90.0) ?(seed = 1) () =
+let run ~scenario ~plan ~queue ?resil ?(flows = 8) ?(segments = 400)
+    ?(rtt = 0.1) ?(capacity_bps = 400e3) ?(duration = 90.0) ?(seed = 1) () =
   let buffer_pkts = Common.buffer_for_rtts ~capacity_bps ~rtt ~rtts:1.0 in
   let flood = Plan.has_flood plan in
   let q =
@@ -40,7 +40,8 @@ let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
     | name -> Common.queue_of_disc ~capacity_bps ~buffer_pkts name
   in
   let env =
-    Common.make_env ~faults:plan ~queue:q ~capacity_bps ~buffer_pkts ~seed ()
+    Common.make_env ~faults:plan ?resil ~queue:q ~capacity_bps ~buffer_pkts
+      ~seed ()
   in
   let completed = ref 0 in
   for _ = 1 to flows do
@@ -115,8 +116,8 @@ let run ~scenario ~plan ~queue ?(flows = 8) ?(segments = 400) ?(rtt = 0.1)
       if tracked_at_end = 0 then
         problem "TAQ tracks no flows after the flood (nothing re-learned)"
   | Some _ | None -> ());
-  (* Recovery times per monitored metric, when the ambient --resil
-     policy attached a monitor to this drill's environment. *)
+  (* Recovery times per monitored metric, when [resil] attached a
+     monitor to this drill's environment. *)
   let recovery =
     match Common.resil_rows env with
     | None -> []

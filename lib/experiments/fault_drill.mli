@@ -42,8 +42,8 @@ type outcome = {
   recovery : (string * string) list;
       (** per-metric time-to-recover strings from the resilience
           monitor (metric name -> seconds / ["no_recovery"] / ["-"]),
-          in {!Taq_resil.Monitor.metric_names} order; empty when no
-          [--resil] policy was installed *)
+          in {!Taq_resil.Monitor.metric_names} order; empty when the
+          drill ran without [resil] parameters *)
   ok : bool;
   problems : string list;  (** empty iff [ok] *)
 }
@@ -56,6 +56,7 @@ val run :
   scenario:string ->
   plan:Taq_fault.Plan.t ->
   queue:string ->
+  ?resil:Taq_resil.Policy.params ->
   ?flows:int ->
   ?segments:int ->
   ?rtt:float ->
@@ -66,11 +67,13 @@ val run :
   outcome
 (** [queue] is a {!Common.disc_names} entry, sized for the drill's
     bottleneck; under a flood plan both TAQ rows run as [taq+ac] with
-    the guard. Defaults: 8 flows of 400 segments over a 400 kbit/s
-    bottleneck, RTT 0.1 s, 90 s horizon, seed 1. The workload keeps the
-    bottleneck busy for ≈ 32 s of ideal transfer time, so every
-    registry fault window (all end by t = 20 s) sees live traffic,
-    with generous slack to finish after [Taq_fault.Plan.horizon]. *)
+    the guard. [resil] attaches the resilience monitor (read-only: the
+    outcome's other fields do not change). Defaults: 8 flows of 400
+    segments over a 400 kbit/s bottleneck, RTT 0.1 s, 90 s horizon,
+    seed 1. The workload keeps the bottleneck busy for ≈ 32 s of ideal
+    transfer time, so every registry fault window (all end by t = 20
+    s) sees live traffic, with generous slack to finish after
+    [Taq_fault.Plan.horizon]. *)
 
 val print : outcome list -> unit
 (** Table of outcomes through the {!Taq_util.Out} sink. *)

@@ -140,10 +140,9 @@ let run_cell ~disc ~tcp ~workload ?(fault = "none") ?guard_cap ~seed () =
     match Tcp_config.of_name tcp with Some t -> t | None -> assert false
   in
   let elephant_tcp = { profile with Tcp_config.use_syn = false } in
-  (* Explicit faults + resilience parameters: the matrix axis owns the
-     plan (the ambient --faults plan must not leak into cells) and
-     every cell is monitored with the canonical default SLO parameters
-     so recovery columns mean the same thing in every report. *)
+  (* The matrix axis owns the plan, and every cell is monitored with
+     the canonical default SLO parameters so recovery columns mean the
+     same thing in every report. *)
   let env =
     Common.make_env ~faults:plan ~resil:Taq_resil.Policy.default ~queue
       ~capacity_bps ~buffer_pkts ~slice:1.0 ~seed ()

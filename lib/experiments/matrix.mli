@@ -64,9 +64,9 @@ val run_cell :
 (** Run one cell under fault-axis scenario [fault] (default ["none"])
     and print its [cell ...] report line plus one [resil ...] line per
     monitored metric via {!Taq_util.Out}. The cell owns its fault plan
-    and resilience parameters (canonical defaults), so ambient
-    [--faults]/[--resil] never leak in; ambient check/obs policies
-    apply exactly as in every other experiment. Flood cells configure
+    (from [fault]) and resilience parameters (canonical defaults); the
+    process-wide check/obs policies apply exactly as in every other
+    experiment. Flood cells configure
     TAQ's overload guard ({!Fault_drill.flood_guard_cap}) unless
     [guard_cap] is given. @raise Failure on unknown coordinates. *)
 

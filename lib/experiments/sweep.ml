@@ -50,6 +50,7 @@ type _ point =
   | Drill : {
       scenario : Scenarios.t;
       queue : string;
+      resil : Taq_resil.Policy.params option;
     }
       -> Fault_drill.outcome point
 
@@ -97,7 +98,7 @@ let key : type a. a point -> string = function
       Printf.sprintf "matrix/v1/disc=%s/tcp=%s/wl=%s%s%s" disc tcp workload
         (if fault = "none" then "" else "/fault=" ^ fault)
         (guard_suffix guard)
-  | Drill { scenario; queue } ->
+  | Drill { scenario; queue; resil = _ } ->
       Printf.sprintf "faults/v1/%s/queue=%s" scenario.Scenarios.name queue
 
 (* One classic point: an independent long-flow contention run whose
@@ -152,9 +153,9 @@ let task : type a. a point -> a Task.t =
           Capture.text (fun () ->
               Matrix.run_cell ~disc ~tcp ~workload ~fault ?guard_cap:guard ~seed
                 ())
-      | Drill { scenario; queue } ->
+      | Drill { scenario; queue; resil } ->
           Fault_drill.run ~scenario:scenario.Scenarios.name
-            ~plan:scenario.Scenarios.plan ~queue ~seed ())
+            ~plan:scenario.Scenarios.plan ~queue ?resil ~seed ())
 
 let grid setting ~queues ~capacities ~fair_shares ~reps =
   let queues = if queues = [] then [ "droptail"; "taq" ] else queues in
@@ -192,7 +193,7 @@ let matrix ~discs ~tcps ~workloads ~faults ~guard =
   | Some msg -> Error msg
   | None -> Ok (List.map Result.get_ok cells)
 
-let drills ~scenarios ~queues =
+let drills ~resil ~scenarios ~queues =
   if List.mem "taq+ac" queues then
     Error
       "faults --queues: taq+ac is not a drill queue — the drill takes TAQ's \
@@ -206,7 +207,9 @@ let drills ~scenarios ~queues =
                List.filter (( = ) "taq") queues
              else queues
            in
-           List.map (fun queue -> Drill { scenario = s; queue }) queues)
+           List.map
+             (fun queue -> Drill { scenario = s; queue; resil })
+             queues)
          scenarios)
 
 let matrix_report outputs =

@@ -47,7 +47,12 @@ type _ point =
       guard : int option;
     }
       -> string point  (** a {!Matrix} cell *)
-  | Drill : { scenario : Taq_fault.Scenarios.t; queue : string }
+  | Drill : {
+      scenario : Taq_fault.Scenarios.t;
+      queue : string;
+      resil : Taq_resil.Policy.params option;
+          (** monitor the drill; not part of its {!key} *)
+    }
       -> Fault_drill.outcome point
 (** Classic points and cells compute their report text. *)
 
@@ -56,12 +61,13 @@ val key : _ point -> string
     [/faults=], [/guard=], [/resil=] and [/backend=hybrid/fluid=]
     suffixes when set; ["matrix/v1/disc=D/tcp=T/wl=W"] plus
     [/fault=F] (omitted for [none]) and [/guard=];
-    ["faults/v1/SCENARIO/queue=Q"]. *)
+    ["faults/v1/SCENARIO/queue=Q"]. Drills are never cached, and their
+    monitor is read-only, so a drill keeps its key (and seed) with or
+    without [resil]. *)
 
 val task : 'a point -> 'a Taq_harness.Task.t
 (** The point as a task under its {!key}. Runs take their fault plan
-    and resilience parameters from the point, not from ambient
-    policies. *)
+    and resilience parameters from the point. *)
 
 val grid :
   setting ->
@@ -83,12 +89,13 @@ val matrix :
     {!Matrix.disc_names}. *)
 
 val drills :
+  resil:Taq_resil.Policy.params option ->
   scenarios:Taq_fault.Scenarios.t list ->
   queues:string list ->
   (Fault_drill.outcome point list, string) result
-(** Scenario-major; restart-only plans drill TAQ only. [Error] on
-    [taq+ac]: the drill takes TAQ's admission setting from the plan
-    (flood plans turn it on). *)
+(** Scenario-major, every drill monitored with [resil]; restart-only
+    plans drill TAQ only. [Error] on [taq+ac]: the drill takes TAQ's
+    admission setting from the plan (flood plans turn it on). *)
 
 val matrix_report : string list -> Taq_util.Table.t
 (** The merged per-cell table (Jain, drop rate, utilization,

@@ -10,8 +10,7 @@
     packet with a fresh {!field-uid}. Fields are declared mutable for the
     allocator's sake only — every other component must treat a packet
     as immutable, and must not retain one past the call that delivered
-    it (take a {!copy} to hold a packet across simulated time, as the
-    lossy-underlay overlay does). *)
+    it (take a {!copy} to hold a packet across simulated time). *)
 
 type kind =
   | Syn  (** connection request (subject to admission control) *)

@@ -433,17 +433,22 @@ let collecting f =
   let c = { instances = [] } in
   let old = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some c);
-  let gc0 = Gc.quick_stat () in
+  (* [Gc.minor_words ()] counts the live minor heap too;
+     [Gc.quick_stat]'s [minor_words] only advances at a minor
+     collection. *)
+  let minor0 = Gc.minor_words () in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
   let v =
     Fun.protect ~finally:(fun () -> Domain.DLS.set current_key old) f
   in
-  let gc1 = Gc.quick_stat () in
+  let minor1 = Gc.minor_words () in
+  let major1 = (Gc.quick_stat ()).Gc.major_words in
   let snap = snapshot_of_instances c.instances in
   ( v,
     {
       snap with
-      gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
-      gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
+      gc_minor_words = minor1 -. minor0;
+      gc_major_words = major1 -. major0;
     } )
 
 let root_snapshot () =

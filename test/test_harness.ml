@@ -995,7 +995,7 @@ let test_task_keys_pinned () =
     "fault drill"
     (Ok [ "faults/v1/flap-slow-start/queue=taq" ])
     (Result.map (List.map Sweep.key)
-       (Sweep.drills ~scenarios:[ flap ] ~queues:[ "taq" ]))
+       (Sweep.drills ~resil:None ~scenarios:[ flap ] ~queues:[ "taq" ]))
 
 (* The drill takes TAQ's admission setting from the plan (flood plans
    turn it on), so taq+ac is not a drill queue. *)
@@ -1004,7 +1004,8 @@ let test_drills_reject_taq_ac () =
   Alcotest.(check bool)
     "taq+ac rejected" true
     (Result.is_error
-       (Sweep.drills ~scenarios:[ flap ] ~queues:[ "droptail"; "taq+ac" ]))
+       (Sweep.drills ~resil:None ~scenarios:[ flap ]
+          ~queues:[ "droptail"; "taq+ac" ]))
 
 let test_pool_rejects_duplicate_keys () =
   Alcotest.check_raises "duplicate key rejected before running"

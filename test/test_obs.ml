@@ -4,6 +4,7 @@
      labeled counters accumulate and snapshot (zeros dropped, names
      sorted), snapshots merge (sum counters, max gauges);
    - policy parsing for --obs specs;
+   - Obs.collecting's minor-word count includes the live minor heap;
    - the hand-rolled JSON printer/parser (integral round-trip, escape
      handling, strict trailing-garbage rejection);
    - the trace ring: overflow keeps the most recent window, and the
@@ -464,6 +465,23 @@ let test_snapshot_wire_rejects_garbage () =
       {|{"counters":[1,2]}|};
     ]
 
+(* 50_000 two-word blocks inside [collecting]. The minor heap is
+   emptied first, so no collection falls inside the window: the count
+   must include words still sitting in the minor heap. *)
+let test_collecting_minor_words () =
+  let words = 100_000 in
+  let (), snap =
+    Obs.collecting (fun () ->
+        Gc.minor ();
+        for i = 1 to words / 2 do
+          ignore (Sys.opaque_identity (ref i))
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "gc_minor_words %.0f >= %d" snap.Obs.gc_minor_words words)
+    true
+    (snap.Obs.gc_minor_words >= float_of_int words)
+
 let () =
   Alcotest.run "taq_obs"
     [
@@ -482,6 +500,8 @@ let () =
             test_snapshot_wire_empty;
           Alcotest.test_case "snapshot wire rejects garbage" `Quick
             test_snapshot_wire_rejects_garbage;
+          Alcotest.test_case "collecting counts minor words" `Quick
+            test_collecting_minor_words;
         ] );
       ( "json",
         [
