@@ -31,7 +31,7 @@ val create :
     [tracker.flows_created], [tracker.evictions] and
     [tracker.cap_evictions] labeled counters. *)
 
-val observe_syn : t -> flow:int -> pool:int -> unit
+val observe_syn : t -> flow:int -> unit
 (** A SYN reached the queue (starts epoch estimation for the flow). *)
 
 val observe_data : t -> Taq_net.Packet.t -> classification
@@ -72,8 +72,8 @@ val is_overpenalized : t -> flow:int -> bool
     previous epochs. *)
 
 val is_new_flow : t -> flow:int -> bool
-(** Within its first [slowstart_epochs] epochs and still in slow
-    start. *)
+(** Within its first {!Taq_config.slowstart_epochs} epochs and still
+    in slow start. *)
 
 val active_flow_count : t -> int
 (** Flows seen within the last few epochs — the denominator of the
@@ -93,24 +93,13 @@ val cap_evictions : t -> int
 val peak_tracked : t -> int
 (** High-water mark of {!tracked_flow_count} over the tracker's life. *)
 
-val fair_share_bps : ?flow:int -> t -> float
-(** The fair share in bits/second — equal split under fair queuing, or
-    the flow's RTT-weighted share under the proportional model (pass
-    [flow] so its epoch can be consulted). *)
-
-val active_pool_count : t -> int
-(** Distinct active flow pools (pool-less flows count as singletons).
-    O(flows): a full pass over the table per call. *)
-
-val pool_rate_bps : t -> flow:int -> float
-(** Aggregate smoothed rate of the flow's whole pool. O(flows): a full
-    pass over the table per call. *)
+val fair_share_bps : t -> float
+(** The fair share in bits/second: [capacity_bps] split equally among
+    the active flows (§4.2's fair-queuing model), the full capacity
+    when none is active. Costs what {!active_flow_count} costs. *)
 
 val below_fair_share : t -> flow:int -> bool
-(** Under [pool_fairness] the comparison is the flow's {e pool}
-    aggregate rate against the per-pool fair share. *)
-
-val pool_of : t -> flow:int -> int
+(** The flow's smoothed rate is strictly below {!fair_share_bps}. *)
 
 val recount : t -> int
 (** Active flows recounted by a full O(flows) pass over the table with

@@ -25,20 +25,19 @@ type guard = {
 
 type t = {
   capacity_pkts : int;
-  fairness_model : Fair_share.model;
-  pool_fairness : bool;
   capacity_bps : float;
   recovery_share : float;
-  newflow_cap : int;
   overpenalize_drops : int;
-  slowstart_epochs : int;
-  tick_interval : float;
   epoch_source : epoch_source;
   admission : admission option;
   flow_idle_timeout : float;
   max_tracked_flows : int;
   guard : guard option;
 }
+
+let newflow_cap t = Stdlib.max 2 (t.capacity_pkts / 4)
+let slowstart_epochs = 3
+let tick_interval = 0.05
 
 let default_admission =
   {
@@ -71,17 +70,12 @@ let default ~capacity_pkts ~capacity_bps =
   if capacity_bps <= 0.0 then invalid_arg "Taq_config.default: capacity_bps";
   {
     capacity_pkts;
-    fairness_model = Fair_share.Fair_queuing;
-    pool_fairness = false;
     capacity_bps;
     recovery_share = 0.25;
-    newflow_cap = Stdlib.max 2 (capacity_pkts / 4);
     (* §4.2's cumulative threshold. Flows already below their fair
        share are additionally protected after any single recent drop
        (§4.1) — see Taq_disc.classify. *)
     overpenalize_drops = 2;
-    slowstart_epochs = 3;
-    tick_interval = 0.05;
     (* The 1 s cap keeps silence periods from polluting the burst-based
        estimate: epochs are RTTs, and RTTs beyond a second are outside
        the regimes TAQ serves. Ablations show the capped estimator

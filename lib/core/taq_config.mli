@@ -3,7 +3,10 @@
     Defaults follow the paper: pthresh = 0.1 (the model's tipping
     point), flows treated as over-penalized beyond 2 drops in an epoch,
     a capacity-limited recovery queue, and a capped NewFlow queue used
-    for admission control. *)
+    for admission control. The fair share is always the equal split of
+    [capacity_bps] among active flows (§4.2's fair-queuing model).
+    Parameters no experiment varies are the values after {!t}, not
+    fields. *)
 
 type epoch_source =
   | Estimated of {
@@ -48,29 +51,15 @@ type guard = {
 
 type t = {
   capacity_pkts : int;  (** total buffer across all TAQ queues *)
-  fairness_model : Fair_share.model;
-      (** fair-queuing (equal split, the paper's focus) or
-          RTT-proportional shares (§4.2) *)
-  pool_fairness : bool;
-      (** share capacity across flow pools (application sessions)
-          rather than individual flows (§4.3: "TAQ can implement fair
-          sharing across flow pools ... to maintain fairness across
-          applications"); flows without a pool count as singleton
-          pools *)
   capacity_bps : float;  (** bottleneck rate (known to the operator,
                              §4.4: TAQ nodes are aware of the
                              available bandwidth) *)
   recovery_share : float;  (** cap on the recovery queue's share of the
                                link, preventing the all-retransmission
                                collapse of §3.2 *)
-  newflow_cap : int;  (** max packets queued in the NewFlow queue *)
   overpenalize_drops : int;  (** drops within an epoch beyond which a
                                  flow moves to the OverPenalized queue
                                  (§4.2: "more than 2") *)
-  slowstart_epochs : int;  (** epochs during which a flow is scheduled
-                               from the NewFlow queue *)
-  tick_interval : float;  (** housekeeping period for rolling epochs of
-                              silent flows *)
   epoch_source : epoch_source;
   admission : admission option;  (** [None] disables admission control *)
   flow_idle_timeout : float;  (** forget per-flow state after this much
@@ -82,6 +71,17 @@ type t = {
                              tracker cap still holds) *)
 }
 
+val newflow_cap : t -> int
+(** Max packets queued in the NewFlow queue: a quarter of
+    [capacity_pkts], at least 2. *)
+
+val slowstart_epochs : int
+(** Epochs during which a flow is scheduled from the NewFlow queue
+    (3). *)
+
+val tick_interval : float
+(** Housekeeping period for rolling epochs of silent flows (0.05 s). *)
+
 val default_admission : admission
 
 val default_guard : guard
@@ -90,7 +90,7 @@ val default_guard : guard
 
 val default : capacity_pkts:int -> capacity_bps:float -> t
 (** No admission control; estimated epochs; recovery share 0.25;
-    NewFlow cap = capacity/4; max_tracked_flows 65536; no guard. *)
+    max_tracked_flows 65536; no guard. *)
 
 val with_admission : capacity_pkts:int -> capacity_bps:float -> t
 (** {!default} plus {!default_admission}. *)

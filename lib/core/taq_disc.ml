@@ -230,7 +230,7 @@ let guard_sample t =
 
 let lazy_tick t =
   let now = Sim.now t.sim in
-  if now -. t.last_tick >= t.config.Taq_config.tick_interval then begin
+  if now -. t.last_tick >= Taq_config.tick_interval then begin
     t.last_tick <- now;
     Flow_tracker.tick t.tracker;
     if Check.on t.check Check.Core then verify_tracker t;
@@ -312,7 +312,7 @@ let enqueue_with_pushout t (p : Packet.t) cls ~priority =
   end
 
 let enqueue_syn t (p : Packet.t) =
-  Flow_tracker.observe_syn t.tracker ~flow:p.flow ~pool:p.pool;
+  Flow_tracker.observe_syn t.tracker ~flow:p.flow;
   let admission_ok =
     match t.admission with
     | None -> true
@@ -333,7 +333,7 @@ let enqueue_syn t (p : Packet.t) =
   else if
     (* The NewFlow queue occupancy cap throttles connection setup. *)
     Taq_queues.class_length t.queues Taq_queues.New_flow
-    >= t.config.Taq_config.newflow_cap
+    >= Taq_config.newflow_cap t.config
   then begin
     count_drop t Taq_queues.New_flow;
     [ p ]
@@ -350,7 +350,7 @@ let enqueue_data t (p : Packet.t) =
     if
       cls = Taq_queues.New_flow
       && Taq_queues.class_length t.queues Taq_queues.New_flow
-         >= t.config.Taq_config.newflow_cap
+         >= Taq_config.newflow_cap t.config
     then Taq_queues.Below_fair_share
     else cls
   in
@@ -398,7 +398,7 @@ let enqueue_data t (p : Packet.t) =
    keep rejecting pools long after recovery. *)
 let enqueue_degraded t (p : Packet.t) =
   (match p.kind with
-  | Packet.Syn -> Flow_tracker.observe_syn t.tracker ~flow:p.flow ~pool:p.pool
+  | Packet.Syn -> Flow_tracker.observe_syn t.tracker ~flow:p.flow
   | Packet.Data -> ignore (Flow_tracker.observe_data t.tracker p)
   | Packet.Ack | Packet.Syn_ack | Packet.Fin -> ());
   if Taq_queues.total_packets t.queues < t.config.Taq_config.capacity_pkts

@@ -16,7 +16,6 @@ let class_to_string = function
   | Above_fair_share -> "above-fair-share"
 
 type t = {
-  config : Taq_config.t;
   now : unit -> float;
   (* Recovery: kept sorted by priority descending; insertion keeps
      arrival order among equal priorities. Queue sizes are bounded by
@@ -40,7 +39,6 @@ let create ~config ~now =
     config.Taq_config.recovery_share *. config.Taq_config.capacity_bps /. 8.0
   in
   {
-    config;
     now;
     recovery = [];
     new_flow = Deque.create ();

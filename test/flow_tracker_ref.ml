@@ -14,8 +14,6 @@ module Packet = Taq_net.Packet
 type classification = New_data | Retransmission
 
 type flow = {
-  id : int;
-  mutable pool : int;
   est : Epoch_estimator.t;
   mutable state : Flow_state.t;
   mutable epoch_start : float;
@@ -58,10 +56,8 @@ let create ~obs ~config ~now () =
     obs_cap_evictions = Taq_obs.Obs.labeled_ref obs "tracker.cap_evictions";
   }
 
-let new_flow t ~id ~pool =
+let new_flow t =
   {
-    id;
-    pool;
     est = Epoch_estimator.create t.config.Taq_config.epoch_source;
     state = Flow_state.initial;
     epoch_start = t.now ();
@@ -105,13 +101,13 @@ let evict_lru t =
       t.cap_evictions <- t.cap_evictions + 1;
       incr t.obs_cap_evictions
 
-let lookup t ~flow ~pool =
+let lookup t ~flow =
   match Hashtbl.find_opt t.flows flow with
   | Some f -> f
   | None ->
       if Hashtbl.length t.flows >= t.config.Taq_config.max_tracked_flows then
         evict_lru t;
-      let f = new_flow t ~id:flow ~pool in
+      let f = new_flow t in
       Hashtbl.replace t.flows flow f;
       incr t.obs_flows_created;
       let n = Hashtbl.length t.flows in
@@ -160,14 +156,13 @@ let catch_up t f =
   done;
   if !budget = 0 then f.epoch_start <- now
 
-let observe_syn t ~flow ~pool =
-  let f = lookup t ~flow ~pool in
-  f.pool <- pool;
+let observe_syn t ~flow =
+  let f = lookup t ~flow in
   f.last_seen <- t.now ();
   Epoch_estimator.note_syn f.est ~time:(t.now ())
 
 let observe_data t (p : Packet.t) =
-  let f = lookup t ~flow:p.flow ~pool:p.pool in
+  let f = lookup t ~flow:p.flow in
   catch_up t f;
   let now = t.now () in
   f.last_seen <- now;
@@ -239,7 +234,7 @@ let is_overpenalized t ~flow =
 
 let is_new_flow t ~flow =
   with_flow t ~flow ~default:true (fun f ->
-      f.epochs_observed < t.config.Taq_config.slowstart_epochs
+      f.epochs_observed < Taq_config.slowstart_epochs
       &&
       match f.state with
       | Flow_state.Slow_start -> true
@@ -264,66 +259,8 @@ let tracked_flow_count t = Hashtbl.length t.flows
 let cap_evictions t = t.cap_evictions
 let peak_tracked t = t.peak_tracked
 
-let mean_epoch t =
-  let acc = ref 0.0 and n = ref 0 in
-  Hashtbl.iter
-    (fun _ f ->
-      acc := !acc +. Epoch_estimator.epoch f.est;
-      incr n)
-    t.flows;
-  if !n = 0 then 1.0 else !acc /. float_of_int !n
+let fair_share_bps t =
+  t.config.Taq_config.capacity_bps
+  /. float_of_int (Stdlib.max 1 (active_flow_count t))
 
-let fair_share_bps ?flow t =
-  let flow_epoch, mean =
-    match (t.config.Taq_config.fairness_model, flow) with
-    | Fair_share.Proportional_rtt, Some flow ->
-        (epoch_len t ~flow, mean_epoch t)
-    | Fair_share.Proportional_rtt, None | Fair_share.Fair_queuing, _ ->
-        (1.0, 1.0)
-  in
-  Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
-    ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_flow_count t) ~flow_epoch ~mean_epoch:mean ()
-
-(* Pool-level accounting (§4.3): a flow's pool is the unit of fairness
-   when enabled; pool-less flows are singleton pools keyed by their
-   negated id. *)
-let pool_key_of f = if f.pool >= 0 then f.pool else -f.id - 2
-
-let active_pool_count t =
-  let now = t.now () in
-  let pools = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun id f ->
-      if now -. f.last_seen <= active_window t ~flow:id then
-        Hashtbl.replace pools (pool_key_of f) ())
-    t.flows;
-  Hashtbl.length pools
-
-let pool_rate_bps t ~flow =
-  match Hashtbl.find_opt t.flows flow with
-  | None -> 0.0
-  | Some f ->
-      let key = pool_key_of f in
-      let acc = ref 0.0 in
-      Hashtbl.iter
-        (fun _ g ->
-          if pool_key_of g = key && Taq_util.Ewma.is_initialized g.rate then
-            acc := !acc +. Taq_util.Ewma.value g.rate)
-        t.flows;
-      !acc
-
-let pool_fair_share_bps t =
-  Fair_share.per_flow ~model:t.config.Taq_config.fairness_model
-    ~capacity_bps:t.config.Taq_config.capacity_bps
-    ~active_flows:(active_pool_count t) ()
-
-let below_fair_share t ~flow =
-  if t.config.Taq_config.pool_fairness then
-    Fair_share.is_below ~rate_bps:(pool_rate_bps t ~flow)
-      ~fair_bps:(pool_fair_share_bps t)
-  else
-    Fair_share.is_below ~rate_bps:(rate_bps t ~flow)
-      ~fair_bps:(fair_share_bps ~flow t)
-
-let pool_of t ~flow = with_flow t ~flow ~default:(-1) (fun f -> f.pool)
+let below_fair_share t ~flow = rate_bps t ~flow < fair_share_bps t

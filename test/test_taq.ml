@@ -271,46 +271,6 @@ let test_tracker_rate_and_fair_share () =
   Alcotest.(check int) "two active" 2 (Flow_tracker.active_flow_count t)
 
 
-let test_tracker_pool_fairness () =
-  (* Pool fairness: two flows of one pool vs a lone flow. Per-flow the
-     lone flow and the pair members send equally; per-pool the pair's
-     aggregate is double its pool share. *)
-  let clock = ref 0.0 in
-  let config =
-    {
-      (Taq_config.default ~capacity_pkts:50 ~capacity_bps:900_000.0) with
-      Taq_config.epoch_source = Taq_config.Oracle 0.1;
-      pool_fairness = true;
-    }
-  in
-  let t =
-    Flow_tracker.create ~obs:Obs.off ~config ~now:(fun () -> !clock) ()
-  in
-  let seqs = Array.make 4 0 in
-  for i = 0 to 49 do
-    clock := 0.1 *. float_of_int i;
-    (* Flows 1,2 in pool 7; flow 3 pool-less. Equal per-flow rates. *)
-    List.iter
-      (fun (flow, pool) ->
-        seqs.(flow) <- seqs.(flow) + 1;
-        ignore (Flow_tracker.observe_data t (mk_data ~flow ~pool ~seq:seqs.(flow) ())))
-      [ (1, 7); (2, 7); (3, -1) ]
-  done;
-  Alcotest.(check int) "two pools" 2 (Flow_tracker.active_pool_count t);
-  (* Pool 7 aggregates both members' rates. *)
-  Alcotest.(check bool) "pool rate is aggregated" true
-    (Flow_tracker.pool_rate_bps t ~flow:1
-    > 1.5 *. Flow_tracker.pool_rate_bps t ~flow:3);
-  (* Capacity 900 kbps over 2 pools = 450 kbps per pool. Each flow
-     sends ~40 kbps, so pool 7 (~80 kbps) and flow 3 (~40 kbps) are
-     both below — but pool 7 is twice as close to its share. The
-     discriminating check: under per-flow fairness all three flows
-     compare identically; under pool fairness flow 3's pool uses half
-     of what flow 1's does. *)
-  Alcotest.(check bool) "both below at this load" true
-    (Flow_tracker.below_fair_share t ~flow:1
-    && Flow_tracker.below_fair_share t ~flow:3)
-
 let test_tracker_shrinking_epoch_expires_earlier () =
   (* An epoch estimate that shrinks between packets pulls the flow's
      expiry earlier than the deadline armed at the previous packet: the
@@ -329,8 +289,8 @@ let test_tracker_shrinking_epoch_expires_earlier () =
   let now () = !clock in
   let t = Flow_tracker.create ~obs:Obs.off ~config ~now ()
   and r = Flow_tracker_ref.create ~obs:Obs.off ~config ~now () in
-  Flow_tracker.observe_syn t ~flow:1 ~pool:(-1);
-  Flow_tracker_ref.observe_syn r ~flow:1 ~pool:(-1);
+  Flow_tracker.observe_syn t ~flow:1;
+  Flow_tracker_ref.observe_syn r ~flow:1;
   let data ~seq at =
     clock := at;
     let p = mk_data ~seq () in
@@ -348,21 +308,17 @@ let test_tracker_shrinking_epoch_expires_earlier () =
     (Flow_tracker_ref.active_flow_count r);
   Alcotest.(check int) "tracker agrees" 0 (Flow_tracker.active_flow_count t)
 
-(* --- Fair_share --------------------------------------------------------------- *)
+(* --- Fair share ---------------------------------------------------------------- *)
 
 let test_fair_share_basic () =
-  Alcotest.(check (float 1e-9)) "equal split" 250_000.0
-    (Fair_share.per_flow ~capacity_bps:1e6 ~active_flows:4 ());
+  let t, _clock = tracker_fixture () in
   Alcotest.(check (float 1e-9)) "zero flows get everything" 1e6
-    (Fair_share.per_flow ~capacity_bps:1e6 ~active_flows:0 ())
-
-let test_fair_share_proportional () =
-  (* A flow with half the mean RTT gets double share. *)
-  let s =
-    Fair_share.per_flow ~model:Fair_share.Proportional_rtt ~capacity_bps:1e6
-      ~active_flows:4 ~flow_epoch:0.1 ~mean_epoch:0.2 ()
-  in
-  Alcotest.(check (float 1e-9)) "double share" 500_000.0 s
+    (Flow_tracker.fair_share_bps t);
+  for flow = 1 to 4 do
+    Flow_tracker.observe_syn t ~flow
+  done;
+  Alcotest.(check (float 1e-9)) "equal split" 250_000.0
+    (Flow_tracker.fair_share_bps t)
 
 (* --- Taq_queues ----------------------------------------------------------------- *)
 
@@ -909,6 +865,49 @@ let test_disc_degraded_bypass () =
   Alcotest.(check int) "both packets FIFO'd in the base class" 2
     (Taq_queues.class_length (Taq_disc.queues t) Taq_queues.Below_fair_share)
 
+(* The NewFlow cap is derived from the buffer: a quarter of it, at
+   least 2. *)
+let newflow_cap_fixture () =
+  let t, _sim = disc_fixture ~capacity_pkts:10 () in
+  let cap =
+    Taq_config.newflow_cap (Taq_config.default ~capacity_pkts:10 ~capacity_bps:1e6)
+  in
+  Alcotest.(check int) "cap of a 10-packet buffer" 2 cap;
+  (t, Taq_disc.disc t, cap)
+
+let test_disc_syn_dropped_at_newflow_cap () =
+  let t, d, cap = newflow_cap_fixture () in
+  for flow = 1 to cap do
+    Alcotest.(check int) "syn below the cap queued" 0
+      (List.length (d.Disc.enqueue (mk_syn ~flow ())))
+  done;
+  let syn = mk_syn ~flow:(cap + 1) () in
+  (match d.Disc.enqueue syn with
+  | [ p ] -> Alcotest.(check int) "the arriving syn" syn.Packet.uid p.Packet.uid
+  | drops -> Alcotest.failf "expected one drop, got %d" (List.length drops));
+  let st = Taq_disc.stats t in
+  Alcotest.(check int) "one new-flow drop" 1
+    (Option.value ~default:0
+       (List.assoc_opt Taq_queues.New_flow st.Taq_disc.drops_by_class));
+  Alcotest.(check int) "not an admission reject" 0 st.Taq_disc.admission_rejected;
+  Alcotest.(check int) "new-flow queue stays at the cap" cap
+    (Taq_queues.class_length (Taq_disc.queues t) Taq_queues.New_flow)
+
+let test_disc_young_data_falls_back_at_newflow_cap () =
+  let t, d, cap = newflow_cap_fixture () in
+  let q = Taq_disc.queues t in
+  for flow = 1 to cap do
+    ignore (d.Disc.enqueue (mk_data ~flow ~seq:0 ()))
+  done;
+  Alcotest.(check int) "young flows' data fills the new-flow queue" cap
+    (Taq_queues.class_length q Taq_queues.New_flow);
+  Alcotest.(check int) "accepted" 0
+    (List.length (d.Disc.enqueue (mk_data ~flow:(cap + 1) ~seq:0 ())));
+  Alcotest.(check int) "new-flow queue stays at the cap" cap
+    (Taq_queues.class_length q Taq_queues.New_flow);
+  Alcotest.(check int) "falls back to below-fair-share" 1
+    (Taq_queues.class_length q Taq_queues.Below_fair_share)
+
 (* --- Integration: TAQ vs droptail fairness --------------------------------------- *)
 
 let run_contention ~disc ~sim ~flows ~capacity_bps ~seconds =
@@ -1106,8 +1105,8 @@ let prop_taq_queue_class_lengths_sum =
    is already due but the flow is still active. *)
 
 type tracker_op =
-  | Op_syn of int * int  (* flow, pool *)
-  | Op_data of int * int * bool  (* flow, pool, retransmission *)
+  | Op_syn of int
+  | Op_data of int * bool  (* flow, retransmission *)
   | Op_drop of int
   | Op_tick
   | Op_advance of float
@@ -1116,8 +1115,6 @@ type tracker_op =
 
 type tracker_scenario = {
   source : Taq_config.epoch_source;
-  pool_fairness : bool;
-  model : Fair_share.model;
   cap : int;
   ops : tracker_op list;
 }
@@ -1125,9 +1122,8 @@ type tracker_scenario = {
 let tracker_flows = 8
 
 let print_tracker_op = function
-  | Op_syn (f, p) -> Printf.sprintf "syn(%d,%d)" f p
-  | Op_data (f, p, r) ->
-      Printf.sprintf "data(%d,%d%s)" f p (if r then ",retx" else "")
+  | Op_syn f -> Printf.sprintf "syn(%d)" f
+  | Op_data (f, r) -> Printf.sprintf "data(%d%s)" f (if r then ",retx" else "")
   | Op_drop f -> Printf.sprintf "drop(%d)" f
   | Op_tick -> "tick"
   | Op_advance dt -> Printf.sprintf "+%h" dt
@@ -1135,25 +1131,21 @@ let print_tracker_op = function
   | Op_restart -> "restart"
 
 let print_tracker_scenario s =
-  Printf.sprintf "%s pool_fairness=%b %s cap=%d [%s]"
+  Printf.sprintf "%s cap=%d [%s]"
     (match s.source with
     | Taq_config.Oracle e -> Printf.sprintf "oracle %g" e
     | Taq_config.Estimated _ -> "estimated")
-    s.pool_fairness
-    (match s.model with
-    | Fair_share.Fair_queuing -> "fq"
-    | Fair_share.Proportional_rtt -> "prop")
     s.cap
     (String.concat " " (List.map print_tracker_op s.ops))
 
 let gen_tracker_scenario =
   let open QCheck.Gen in
-  let flow = int_range 0 (tracker_flows - 1) and pool = int_range (-1) 2 in
+  let flow = int_range 0 (tracker_flows - 1) in
   let op =
     frequency
       [
-        (3, map2 (fun f p -> Op_syn (f, p)) flow pool);
-        (8, map3 (fun f p r -> Op_data (f, p, r)) flow pool bool);
+        (3, map (fun f -> Op_syn f) flow);
+        (8, map2 (fun f r -> Op_data (f, r)) flow bool);
         (2, map (fun f -> Op_drop f) flow);
         (2, return Op_tick);
         ( 4,
@@ -1166,11 +1158,10 @@ let gen_tracker_scenario =
   in
   let source =
     oneofl [ Taq_config.Oracle 0.05; Taq_config.Oracle 0.3; est_config ]
-  and model = oneofl [ Fair_share.Fair_queuing; Fair_share.Proportional_rtt ] in
+  in
   map3
-    (fun (source, pool_fairness) (model, cap) ops ->
-      { source; pool_fairness; model; cap; ops })
-    (pair source bool) (pair model (int_range 2 6))
+    (fun source cap ops -> { source; cap; ops })
+    source (int_range 2 6)
     (list_size (int_range 1 150) op)
 
 let prop_tracker_matches_reference =
@@ -1183,8 +1174,6 @@ let prop_tracker_matches_reference =
         {
           (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
           Taq_config.epoch_source = s.source;
-          pool_fairness = s.pool_fairness;
-          fairness_model = s.model;
           max_tracked_flows = s.cap;
           flow_idle_timeout = 4.0;
         }
@@ -1210,35 +1199,30 @@ let prop_tracker_matches_reference =
         in
         ints "active flows" (Flow_tracker.active_flow_count t)
           (Flow_tracker_ref.active_flow_count r);
-        ints "active pools" (Flow_tracker.active_pool_count t)
-          (Flow_tracker_ref.active_pool_count r);
         ints "tracked" (Flow_tracker.tracked_flow_count t)
           (Flow_tracker_ref.tracked_flow_count r);
         ints "cap evictions" (Flow_tracker.cap_evictions t)
           (Flow_tracker_ref.cap_evictions r);
+        floats "fair share" (Flow_tracker.fair_share_bps t)
+          (Flow_tracker_ref.fair_share_bps r);
         for flow = 0 to tracker_flows - 1 do
           let what q = Printf.sprintf "%s flow %d" q flow in
-          floats (what "fair share") (Flow_tracker.fair_share_bps ~flow t)
-            (Flow_tracker_ref.fair_share_bps ~flow r);
           let below = Flow_tracker.below_fair_share t ~flow
           and below_ref = Flow_tracker_ref.below_fair_share r ~flow in
           if below <> below_ref then
             fail step (what "below fair share") (string_of_bool below)
-              (string_of_bool below_ref);
-          floats (what "pool rate")
-            (Flow_tracker.pool_rate_bps t ~flow)
-            (Flow_tracker_ref.pool_rate_bps r ~flow)
+              (string_of_bool below_ref)
         done
       in
       List.iteri
         (fun step op ->
           let tr, r = !t in
           (match op with
-          | Op_syn (flow, pool) ->
-              Flow_tracker.observe_syn tr ~flow ~pool;
-              Flow_tracker_ref.observe_syn r ~flow ~pool;
+          | Op_syn flow ->
+              Flow_tracker.observe_syn tr ~flow;
+              Flow_tracker_ref.observe_syn r ~flow;
               last_seen.(flow) <- !clock
-          | Op_data (flow, pool, retx) ->
+          | Op_data (flow, retx) ->
               let seq =
                 if retx then 0
                 else begin
@@ -1246,7 +1230,7 @@ let prop_tracker_matches_reference =
                   next_seq.(flow)
                 end
               in
-              let p = mk_data ~flow ~pool ~seq () in
+              let p = mk_data ~flow ~seq () in
               let is_new = Flow_tracker.observe_data tr p = Flow_tracker.New_data
               and is_new_ref =
                 Flow_tracker_ref.observe_data r p = Flow_tracker_ref.New_data
@@ -1325,14 +1309,12 @@ let () =
             test_tracker_retx_consumes_outstanding_drop;
           Alcotest.test_case "idle expiry" `Quick test_tracker_expires_idle_flows;
           Alcotest.test_case "rates and shares" `Quick test_tracker_rate_and_fair_share;
-          Alcotest.test_case "pool fairness" `Quick test_tracker_pool_fairness;
           Alcotest.test_case "shrinking epoch" `Quick
             test_tracker_shrinking_epoch_expires_earlier;
         ] );
       ( "fair_share",
         [
           Alcotest.test_case "basic" `Quick test_fair_share_basic;
-          Alcotest.test_case "proportional" `Quick test_fair_share_proportional;
         ] );
       ( "taq_queues",
         [
@@ -1385,6 +1367,10 @@ let () =
           Alcotest.test_case "syn admitted" `Quick test_disc_syn_admitted_when_clear;
           Alcotest.test_case "conservation" `Quick test_disc_conservation;
           Alcotest.test_case "degraded bypass" `Quick test_disc_degraded_bypass;
+          Alcotest.test_case "syn dropped at newflow cap" `Quick
+            test_disc_syn_dropped_at_newflow_cap;
+          Alcotest.test_case "young data at newflow cap" `Quick
+            test_disc_young_data_falls_back_at_newflow_cap;
         ] );
       ( "integration",
         [
