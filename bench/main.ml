@@ -371,7 +371,8 @@ let () =
   | None -> ()
   | Some baseline_path -> (
       match
-        Regression.compare_files ?tolerance_pct:opts.tolerance ~baseline_path
+        Regression.compare_files ?tolerance_pct:opts.tolerance
+          ~known:("micro" :: Registry.names) ~baseline_path
           ~current_path:"BENCH.json" ()
       with
       | Ok notes ->

@@ -8,7 +8,6 @@
                  worker pool through the durable result cache
      faults      run the canonical fault-scenario registry and assert
                  the recovery properties it promises
-     mega        the million-flow hybrid tier, sharded over the pool
      model       evaluate the idealized Markov models
      trace       generate a synthetic proxy access trace (CSV)
      replay      replay a proxy access trace through an access link
@@ -44,7 +43,7 @@ let check_arg =
     & info [ "check" ] ~docv:"GROUPS"
         ~doc:
           "Enable runtime invariant checking. $(docv) is a comma-separated \
-           subset of engine, net, queueing, tcp, core, guard, fluid, resil \
+           subset of engine, net, queueing, tcp, core, guard, resil \
            (default: all). The first violation aborts the run.")
 
 let setup_check spec =
@@ -156,39 +155,6 @@ let setup_resil spec =
   | None -> Ok None
   | Some s -> Result.map Option.some (Taq_resil.Policy.params_of_spec s)
 
-(* --- traffic backend ---------------------------------------------------- *)
-
-(* [--backend=hybrid] swaps the background cohort for the mean-field
-   fluid aggregate (lib/fluid): the env attaches a Source ticking every
-   --fluid-dt, and the foreground flows spawned by the subcommand stay
-   real packet-level TCP. The default packet backend takes exactly the
-   construction path it always did, so its outputs are byte-identical
-   to builds that predate the fluid subsystem. *)
-let backend_arg =
-  Arg.(
-    value
-    & opt (enum [ ("packet", `Packet); ("hybrid", `Hybrid) ]) `Packet
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Traffic backend: $(b,packet) (every flow is a real TCP state \
-           machine; the default) or $(b,hybrid) (the background cohort is a \
-           mean-field fluid aggregate coupled to the bottleneck — size it \
-           with $(b,--bg-flows), step it with $(b,--fluid-dt)).")
-
-let bg_flows_arg =
-  Arg.(
-    value & opt int 60
-    & info [ "bg-flows" ] ~docv:"N"
-        ~doc:
-          "Hybrid backend only: background flows modeled by the fluid \
-           aggregate.")
-
-let fluid_dt_arg =
-  Arg.(
-    value & opt float 0.05
-    & info [ "fluid-dt" ] ~docv:"S"
-        ~doc:"Hybrid backend only: fluid integration step, seconds.")
-
 (* --- experiment ------------------------------------------------------- *)
 
 let experiment_cmd =
@@ -285,8 +251,8 @@ let sim_cmd =
             "Record every enqueue/drop/delivery at the bottleneck and write \
              the packet log as CSV to $(docv).")
   in
-  let run queue capacity flows rtt duration buffer_rtts seed guard pcap backend
-      bg_flows fluid_dt check obs faults resil =
+  let run queue capacity flows rtt duration buffer_rtts seed guard pcap check
+      obs faults resil =
    let* check_enabled = setup_check check in
    let* obs_enabled = setup_obs obs in
    let* faults = setup_faults ~run_until:duration faults in
@@ -295,17 +261,12 @@ let sim_cmd =
     let buffer_pkts =
       Common.buffer_for_rtts ~capacity_bps:capacity ~rtt ~rtts:buffer_rtts
     in
-    let backend =
-      Sweep.resolve_backend
-        { Sweep.kind = backend; bg_flows; fluid_dt }
-        ~rtt ~capacity_bps:capacity ~buffer_pkts
-    in
     let q =
       Common.queue_of_disc ?guard_cap:guard ~capacity_bps:capacity ~buffer_pkts
         queue
     in
     let env =
-      Common.make_env ?faults ?resil ~backend ~queue:q ~capacity_bps:capacity
+      Common.make_env ?faults ?resil ~queue:q ~capacity_bps:capacity
         ~buffer_pkts ~seed ()
     in
     let log =
@@ -328,12 +289,12 @@ let sim_cmd =
     let series =
       Taq_metrics.Flow_evolution.series env.Common.evolution ~until:duration
     in
+    (* [backend=packet] keeps the report line in its established
+       format. *)
     Printf.printf
-      "queue=%s backend=%s capacity=%.0fbps flows=%d buffer=%dpkts \
+      "queue=%s backend=packet capacity=%.0fbps flows=%d buffer=%dpkts \
        duration=%.0fs\n"
-      (Common.queue_name q)
-      (Common.backend_name backend)
-      capacity flows buffer_pkts duration;
+      (Common.queue_name q) capacity flows buffer_pkts duration;
     Printf.printf "  short-term Jain (20s slices): %.3f\n"
       (Taq_metrics.Slicer.mean_jain env.Common.slicer ~flows:ids ~first:1 ());
     Printf.printf "  long-term Jain:               %.3f\n"
@@ -360,9 +321,6 @@ let sim_cmd =
               (Taq_core.Overload.report g)
               (Taq_core.Flow_tracker.peak_tracked tr)
               (Taq_core.Flow_tracker.cap_evictions tr));
-    (match env.Common.fluid with
-    | None -> ()
-    | Some src -> Printf.printf "  %s\n" (Taq_fluid.Source.report src));
     (match env.Common.faults with
     | None -> ()
     | Some inj ->
@@ -389,8 +347,8 @@ let sim_cmd =
     Term.(
       ret
         (const run $ queue_arg $ capacity $ flows $ rtt_arg $ duration_arg
-       $ buffer_rtts_arg $ seed $ guard $ pcap $ backend_arg $ bg_flows_arg
-       $ fluid_dt_arg $ check_arg $ obs_arg $ faults_arg $ resil_arg))
+       $ buffer_rtts_arg $ seed $ guard $ pcap $ check_arg $ obs_arg
+       $ faults_arg $ resil_arg))
 
 (* --- sweep ---------------------------------------------------------------- *)
 
@@ -533,9 +491,8 @@ let sweep_cmd =
              --timeout-s (the hanging task is only bounded by the deadline).")
   in
   let run queues matrix tcps workloads fault_axis capacities fair_shares reps
-      rtt duration buffer_rtts guard backend bg_flows fluid_dt jobs
-      results_dir no_cache resume timeout_s retries chaos check obs faults
-      resil =
+      rtt duration buffer_rtts guard jobs results_dir no_cache resume timeout_s
+      retries chaos check obs faults resil =
     if reps < 1 then `Error (false, "--reps must be >= 1")
     else if chaos && timeout_s = None then
       `Error (false, "--chaos requires --timeout-s (it injects a hanging task)")
@@ -544,8 +501,6 @@ let sweep_cmd =
         (false,
          "--resume needs the cache (restored points live there); drop \
           --no-cache")
-    else if matrix && backend <> `Packet then
-      `Error (false, "--matrix cells are packet-backend only; drop --backend")
     else if matrix && faults <> None then
       `Error
         (false,
@@ -577,7 +532,6 @@ let sweep_cmd =
               faults = fault_plan;
               guard;
               resil = resil_params;
-              backend = { Sweep.kind = backend; bg_flows; fluid_dt };
             }
           in
           Ok (Sweep.grid setting ~queues ~capacities ~fair_shares ~reps)
@@ -717,9 +671,8 @@ let sweep_cmd =
       ret
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
        $ capacities $ fair_shares $ reps $ rtt_arg $ duration_arg
-       $ buffer_rtts_arg $ guard $ backend_arg $ bg_flows_arg $ fluid_dt_arg
-       $ jobs $ results_dir $ no_cache $ resume $ timeout_s $ retries $ chaos
-       $ check_arg $ obs_arg $ faults_arg $ resil_arg))
+       $ buffer_rtts_arg $ guard $ jobs $ results_dir $ no_cache $ resume
+       $ timeout_s $ retries $ chaos $ check_arg $ obs_arg $ faults_arg $ resil_arg))
 
 (* --- faults --------------------------------------------------------------- *)
 
@@ -985,143 +938,6 @@ let trace_cmd =
   let doc = "Generate a synthetic proxy access trace" in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ out $ clients $ duration $ seed)
 
-(* --- mega ------------------------------------------------------------------ *)
-
-(* The mega tier from the CLI: a million (by default) modeled
-   background flows streamed out of the constant-memory cohort
-   generator, sharded across the Domain pool, each shard a hybrid
-   (fluid-background) environment. Counters are deterministic at any
-   --jobs, which is what the CI smoke diffs. *)
-let mega_cmd =
-  let flows =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "flows" ] ~docv:"N" ~doc:"Modeled background population.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Independent sub-systems the population factors into.")
-  in
-  let capacity =
-    Arg.(
-      value & opt float 2.4e9
-      & info [ "c"; "capacity" ] ~docv:"BPS"
-          ~doc:"Aggregate bottleneck capacity, split across shards.")
-  in
-  let fg_flows =
-    Arg.(
-      value & opt int 4
-      & info [ "fg-flows" ] ~docv:"N"
-          ~doc:"Packet-level foreground flows per shard.")
-  in
-  let rtt =
-    Arg.(value & opt float 0.2 & info [ "rtt" ] ~docv:"S" ~doc:"Base RTT.")
-  in
-  let duration =
-    Arg.(
-      value & opt float 5.0
-      & info [ "d"; "duration" ] ~docv:"S" ~doc:"Run length.")
-  in
-  let fluid_dt =
-    Arg.(
-      value & opt float 0.05
-      & info [ "fluid-dt" ] ~docv:"S" ~doc:"Fluid integration step, seconds.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Cohort seed.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains. Shard results merge in shard order, so the \
-             counters are byte-identical at any job count.")
-  in
-  let results_dir =
-    Arg.(
-      value
-      & opt string Harness.Cache.default_dir
-      & info [ "results-dir" ] ~docv:"DIR"
-          ~doc:"Directory for shard checkpoints and the mega journal.")
-  in
-  let do_checkpoint =
-    Arg.(
-      value & flag
-      & info [ "checkpoint" ]
-          ~doc:
-            "Persist every completed shard (journal + cache under \
-             --results-dir) so a killed run can be finished with --resume. \
-             Off by default: checkpointing is durable-run machinery, not \
-             part of the plain jobs-identity contract.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Resume a killed or cancelled mega run: replay the journal, \
-             restore checkpointed shards (digests verified, hex-float \
-             exact) and recompute only the missing ones. Implies \
-             --checkpoint.")
-  in
-  let run flows shards capacity fg_flows rtt duration fluid_dt seed jobs
-      results_dir do_checkpoint resume check obs =
-   let* check_enabled = setup_check check in
-   let* obs_enabled = setup_obs obs in
-   (try
-    let p =
-      {
-        Mega_tier.total_flows = flows;
-        shards;
-        capacity_bps = capacity;
-        fg_flows;
-        rtt;
-        duration;
-        buffer_rtts = 1.0;
-        dt = fluid_dt;
-        seed;
-      }
-    in
-    let checkpoint =
-      if not (do_checkpoint || resume) then None
-      else begin
-        Harness.Pool.install_signal_cancellation ~label:"mega run" ();
-        Some
-          {
-            Mega_tier.ck_cache = Harness.Cache.create ~dir:results_dir ();
-            ck_journal = Some (Filename.concat results_dir "mega.journal");
-            ck_resume = resume;
-          }
-      end
-    in
-    let r = Mega_tier.run ~jobs ?checkpoint p in
-    Mega_tier.print r;
-    if check_enabled then
-      Printf.printf "invariant checks: clean (%d shard(s))\n" shards;
-    if obs_enabled then
-      finish_obs
-        (Obs.merge_all (Obs.root_snapshot () :: r.Mega_tier.obs_snaps));
-    `Ok ()
-   with
-   | Mega_tier.Interrupted ->
-       Printf.printf
-         "mega run cancelled: completed shards are journaled — rerun with \
-          --resume to finish\n";
-       Stdlib.exit Harness.Pool.cancelled_exit_code
-   | Check.Violation msg -> violation msg
-   | Failure msg -> `Error (false, msg))
-  in
-  let doc = "Million-flow hybrid tier on the Domain worker pool" in
-  Cmd.v (Cmd.info "mega" ~doc)
-    Term.(
-      ret
-        (const run $ flows $ shards $ capacity $ fg_flows $ rtt $ duration
-       $ fluid_dt $ seed $ jobs $ results_dir $ do_checkpoint $ resume
-       $ check_arg $ obs_arg))
-
 let () =
   let doc = "TAQ: Timeout Aware Queuing (EuroSys'14) reproduction toolkit" in
   let info = Cmd.info "taq_sim" ~version:"1.0.0" ~doc in
@@ -1129,6 +945,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            experiment_cmd; sim_cmd; sweep_cmd; mega_cmd; faults_cmd;
-            model_cmd; trace_cmd; replay_cmd;
+            experiment_cmd; sim_cmd; sweep_cmd; faults_cmd; model_cmd;
+            trace_cmd; replay_cmd;
           ]))

@@ -69,10 +69,10 @@ val schedule_after_i : t -> delay:float -> (int -> unit) -> int -> handle
 val every : t -> period:float -> until:float -> (unit -> unit) -> unit
 (** [every t ~period ~until f] runs [f] at [now + period],
     [now + 2·period], … for every tick at or before [until] — the
-    fixed-step coupling hook used by continuous processes (the fluid
-    background backend) that must advance as ordinary calendar events
-    so they interleave deterministically with packet events. Raises
-    [Invalid_argument] on a non-positive [period]. *)
+    fixed-step sampling hook of the resilience monitor
+    ([Taq_resil.Monitor]), whose ticks advance as ordinary calendar
+    events so they interleave deterministically with packet events.
+    Raises [Invalid_argument] on a non-positive [period]. *)
 
 val cancel : t -> handle -> unit
 (** Cancelling an already-run, already-cancelled or {!none} handle is a

@@ -62,13 +62,8 @@ type env = {
   check : Check.t;
   obs : Obs.t;
   faults : Taq_fault.Injector.t option;
-  fluid : Taq_fluid.Source.t option;
   resil : Taq_resil.Monitor.t option;
 }
-
-type backend = Packet | Hybrid of Taq_fluid.Model.params
-
-let backend_name = function Packet -> "packet" | Hybrid _ -> "hybrid"
 
 let pkt_bytes = 500
 
@@ -84,7 +79,7 @@ let taq_config ?(admission = false) ?guard_cap ~capacity_bps ~buffer_pkts () =
   | None -> config
   | Some cap -> Taq_config.with_guard ~max_tracked_flows:cap config
 
-let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
+let make_env ?check ?obs ?faults ?resil ~queue
     ~capacity_bps ~buffer_pkts ?(slice = 20.0) ?(evolution_window = 5.0)
     ?(seed = 1) () =
   (* One checker per environment: the simulator, link, TAQ middlebox and
@@ -125,21 +120,6 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
      (including TAQ itself) when the Queueing group is on; [wrap]
      returns [disc] unchanged otherwise. *)
   let disc = Taq_queueing.Checked.wrap ~check disc in
-  (* Hybrid reverse coupling, for disciplines that drop arrivals
-     indiscriminately at overflow (TAQ's whole mechanism is that it
-     does not). Outside the shadow-model checker — packets the shared
-     buffer refuses never reach the real discipline, so the shadow
-     must not see them either. Packet-backend envs skip the wrap (and
-     its PRNG split) entirely: their construction path is untouched. *)
-  let fluid_filter, disc =
-    match (backend, queue) with
-    | Hybrid _, (Droptail | Red | Sfq | Drr | Choke | Choked | Codel | Las) ->
-        let f, disc =
-          Taq_fluid.Shared_loss.wrap ~prng:(Taq_util.Prng.split prng) disc
-        in
-        (Some f, disc)
-    | (Packet | Hybrid _), _ -> (None, disc)
-  in
   (* Counter instrumentation goes outermost so it observes exactly the
      operations the link performs (including shadow-model rejections
      were the checker ever to alter behaviour — it must not). *)
@@ -156,14 +136,6 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
           (Taq_fault.Injector.install ?taq:!taq ~net
              ~prng:(Taq_util.Prng.split prng) plan)
     | Some _ | None -> None
-  in
-  let fluid =
-    match backend with
-    | Packet -> None
-    | Hybrid params ->
-        Some
-          (Taq_fluid.Source.attach ~check ~obs ?filter:fluid_filter ~sim
-             ~link:(Dumbbell.link net) ~params ~until:Float.infinity ())
   in
   (* Resilience monitor. It is read-only (no PRNG draws, no queue
      perturbation), so attaching it never changes the simulated
@@ -190,7 +162,6 @@ let make_env ?check ?obs ?faults ?resil ?(backend = Packet) ~queue
     check;
     obs;
     faults = injector;
-    fluid;
     resil;
   }
 

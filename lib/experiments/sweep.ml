@@ -4,22 +4,6 @@ module Plan = Taq_fault.Plan
 module Scenarios = Taq_fault.Scenarios
 module Out = Taq_util.Out
 
-type backend_spec = {
-  kind : [ `Packet | `Hybrid ];
-  bg_flows : int;
-  fluid_dt : float;
-}
-
-let resolve_backend b ~rtt ~capacity_bps ~buffer_pkts =
-  match b.kind with
-  | `Packet -> Common.Packet
-  | `Hybrid ->
-      Common.Hybrid
-        (Taq_fluid.Model.make_params ~rtt_prop:rtt ~pkt_bytes:Common.pkt_bytes
-           ~dt:b.fluid_dt ~n_flows:b.bg_flows ~capacity_bps
-           ~buffer_bytes:(buffer_pkts * Common.pkt_bytes)
-           ())
-
 type setting = {
   rtt : float;
   duration : float;
@@ -27,7 +11,6 @@ type setting = {
   faults : Plan.t option;
   guard : int option;
   resil : Taq_resil.Policy.params option;
-  backend : backend_spec;
 }
 
 type _ point =
@@ -57,10 +40,6 @@ type _ point =
 let buffer_pkts s ~capacity =
   Common.buffer_for_rtts ~capacity_bps:capacity ~rtt:s.rtt ~rtts:s.buffer_rtts
 
-let backend s ~capacity =
-  resolve_backend s.backend ~rtt:s.rtt ~capacity_bps:capacity
-    ~buffer_pkts:(buffer_pkts s ~capacity)
-
 let guard_suffix = function
   | Some cap -> Printf.sprintf "/guard=%d" cap
   | None -> ""
@@ -80,18 +59,10 @@ let key : type a. a point -> string = function
         | Some p -> "/resil=" ^ Taq_resil.Policy.params_to_string p
         | None -> ""
       in
-      (* The fluid params depend on the point's capacity through the
-         buffer sizing; packet keys stay bare. *)
-      let backend =
-        match backend s ~capacity with
-        | Common.Packet -> ""
-        | Common.Hybrid p ->
-            "/backend=hybrid/fluid=" ^ Taq_fluid.Model.params_to_string p
-      in
       Printf.sprintf
-        "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s%s%s%s"
+        "sweep/v1/queue=%s/cap=%.0f/fs=%.0f/rtt=%g/dur=%g/buf=%g/rep=%d%s%s%s"
         queue capacity fair_share s.rtt s.duration s.buffer_rtts rep faults
-        (guard_suffix s.guard) resil backend
+        (guard_suffix s.guard) resil
   | Cell { disc; tcp; workload; fault; guard } ->
       (* fault=none keys stay bare, so the fault axis never reseeds (or
          un-caches) the pre-axis matrix cells. *)
@@ -105,7 +76,6 @@ let key : type a. a point -> string = function
    report goes through the Out sink. *)
 let run_classic ~queue ~capacity ~fair_share ~rep s ~seed =
   let buffer_pkts = buffer_pkts s ~capacity in
-  let backend = backend s ~capacity in
   let q =
     Common.queue_of_disc ?guard_cap:s.guard ~capacity_bps:capacity ~buffer_pkts
       queue
@@ -115,19 +85,19 @@ let run_classic ~queue ~capacity ~fair_share ~rep s ~seed =
       ~fair_share_bps:fair_share
   in
   let env =
-    Common.make_env ?faults:s.faults ?resil:s.resil ~backend ~queue:q
+    Common.make_env ?faults:s.faults ?resil:s.resil ~queue:q
       ~capacity_bps:capacity ~buffer_pkts ~seed ()
   in
   let ids =
     Common.spawn_long_flows env ~n:flows ~rtt:s.rtt ~rtt_jitter:0.1 ()
   in
   Common.run env ~until:s.duration;
+  (* [backend=packet] keeps the report in the format cached results
+     were written in. *)
   Out.printf
-    "queue=%s backend=%s capacity=%.0f fair_share=%.0f flows=%d rep=%d \
+    "queue=%s backend=packet capacity=%.0f fair_share=%.0f flows=%d rep=%d \
      seed=%d\n"
-    (Common.queue_name q)
-    (Common.backend_name backend)
-    capacity fair_share flows rep seed;
+    (Common.queue_name q) capacity fair_share flows rep seed;
   Out.printf
     "  jain_short=%.3f jain_long=%.3f utilization=%.3f loss_rate=%.4f\n"
     (Taq_metrics.Slicer.mean_jain env.Common.slicer ~flows:ids ~first:1 ())
@@ -137,10 +107,7 @@ let run_classic ~queue ~capacity ~fair_share ~rep s ~seed =
   Option.iter
     (List.iter (fun row ->
          Out.printf "  %s\n" (Taq_resil.Monitor.row_line row)))
-    (Common.resil_rows env);
-  Option.iter
-    (fun src -> Out.printf "  %s\n" (Taq_fluid.Source.report src))
-    env.Common.fluid
+    (Common.resil_rows env)
 
 let task : type a. a point -> a Task.t =
  fun p ->

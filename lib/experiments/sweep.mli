@@ -7,18 +7,6 @@
     and it is at once the cache address, the journal name and the seed
     source, so two points share a key iff they print the same report. *)
 
-type backend_spec = {
-  kind : [ `Packet | `Hybrid ];
-  bg_flows : int;  (** hybrid: flows in the fluid aggregate *)
-  fluid_dt : float;  (** hybrid: fluid integration step, seconds *)
-}
-(** A backend request, resolved per point (it depends on capacity and
-    buffer). *)
-
-val resolve_backend :
-  backend_spec -> rtt:float -> capacity_bps:float -> buffer_pkts:int ->
-  Common.backend
-
 type setting = {
   rtt : float;
   duration : float;
@@ -26,7 +14,6 @@ type setting = {
   faults : Taq_fault.Plan.t option;
   guard : int option;  (** TAQ overload-guard tracker cap *)
   resil : Taq_resil.Policy.params option;
-  backend : backend_spec;
 }
 (** What every point of a classic grid shares. *)
 
@@ -58,9 +45,9 @@ type _ point =
 
 val key : _ point -> string
 (** ["sweep/v1/queue=Q/cap=C/fs=F/rtt=R/dur=D/buf=B/rep=N"] plus
-    [/faults=], [/guard=], [/resil=] and [/backend=hybrid/fluid=]
-    suffixes when set; ["matrix/v1/disc=D/tcp=T/wl=W"] plus
-    [/fault=F] (omitted for [none]) and [/guard=];
+    [/faults=], [/guard=] and [/resil=] suffixes when set;
+    ["matrix/v1/disc=D/tcp=T/wl=W"] plus [/fault=F] (omitted for
+    [none]) and [/guard=];
     ["faults/v1/SCENARIO/queue=Q"]. Drills are never cached, and their
     monitor is read-only, so a drill keeps its key (and seed) with or
     without [resil]. *)

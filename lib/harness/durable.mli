@@ -1,6 +1,5 @@
 (** The durable task runner: the one owner of the journal/cache
-    protocol behind every crash-resumable run ([taq_sim sweep], the
-    checkpointed mega tier).
+    protocol behind every crash-resumable run ([taq_sim sweep]).
 
     {!run}, in order:
     - on resume, replays the write-ahead {!Journal} and restores each

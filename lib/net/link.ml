@@ -4,7 +4,6 @@ module Obs = Taq_obs.Obs
 
 type stats = {
   offered : int;
-  bytes_offered : int;
   transmitted : int;
   dropped : int;
   bytes_transmitted : int;
@@ -38,15 +37,9 @@ type t = {
          every drop victim once all listeners and accounting have seen
          it. Absent for standalone links (no pooling). *)
   mutable busy : bool;
-  mutable background_bps : float;
-      (* Capacity claimed by an aggregate (fluid) background process:
-         packet transmissions proceed at the residual rate
-         [capacity_bps - background_bps]. 0 when no hybrid backend is
-         attached, in which case every transmission time is computed
-         exactly as before ([c -. 0.] = [c] bit for bit). *)
   mutable rate_factor : float;
       (* Brownout fault hook: transmissions proceed at
-         [(capacity - background) * rate_factor]. 1.0 (no brownout
+         [capacity_bps * rate_factor]. 1.0 (no brownout
          active) is the IEEE multiplicative identity, so un-faulted
          links compute bit-identical transmission times. *)
   mutable up : bool;
@@ -71,7 +64,6 @@ type t = {
   mutable ring_head : int;
   mutable ring_len : int;
   mutable offered : int;
-  mutable bytes_offered : int;
   mutable transmitted : int;
   mutable dropped : int;
   mutable bytes_transmitted : int;
@@ -146,17 +138,7 @@ let on_enqueue t f = t.enqueue_listeners <- f :: t.enqueue_listeners
 let on_deliver t f = t.deliver_listeners <- f :: t.deliver_listeners
 
 let tx_time t (p : Packet.t) =
-  float_of_int (p.size * 8)
-  /. ((t.capacity_bps -. t.background_bps) *. t.rate_factor)
-
-let set_background_bps t bps =
-  if bps < 0.0 || bps >= t.capacity_bps then
-    invalid_arg
-      (Printf.sprintf "Link.set_background_bps: %g outside [0, %g)" bps
-         t.capacity_bps);
-  t.background_bps <- bps
-
-let background_bps t = t.background_bps
+  float_of_int (p.size * 8) /. (t.capacity_bps *. t.rate_factor)
 
 let set_rate_factor t f =
   if not (Float.is_finite f) || f <= 0.0 || f > 1.0 then
@@ -272,7 +254,6 @@ let create ?check ?obs ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver
       deliver;
       release;
       busy = false;
-      background_bps = 0.0;
       rate_factor = 1.0;
       up = true;
       tx_pkt = dummy;
@@ -283,7 +264,6 @@ let create ?check ?obs ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver
       ring_head = 0;
       ring_len = 0;
       offered = 0;
-      bytes_offered = 0;
       transmitted = 0;
       dropped = 0;
       bytes_transmitted = 0;
@@ -308,7 +288,6 @@ let create ?check ?obs ?release ~sim ~capacity_bps ~prop_delay ~disc ~deliver
 
 let send t p =
   t.offered <- t.offered + 1;
-  t.bytes_offered <- t.bytes_offered + p.Packet.size;
   let dropped = t.disc.Disc.enqueue p in
   let n_dropped = List.length dropped in
   t.dropped <- t.dropped + n_dropped;
@@ -369,7 +348,6 @@ let is_up t = t.up
 let stats t =
   {
     offered = t.offered;
-    bytes_offered = t.bytes_offered;
     transmitted = t.transmitted;
     dropped = t.dropped;
     bytes_transmitted = t.bytes_transmitted;

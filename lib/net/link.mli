@@ -10,7 +10,6 @@ type t
 
 type stats = {
   offered : int;  (** packets offered to the queue *)
-  bytes_offered : int;  (** bytes offered to the queue *)
   transmitted : int;  (** packets fully transmitted *)
   dropped : int;  (** packets dropped by the discipline *)
   bytes_transmitted : int;
@@ -43,27 +42,15 @@ val create :
 val send : t -> Packet.t -> unit
 (** Offer a packet to the discipline (and kick the transmitter). *)
 
-val set_background_bps : t -> float -> unit
-(** Occupancy-injection hook for the hybrid fluid backend
-    ([Taq_fluid]): declare that an aggregate background process is
-    currently consuming this many bits/s of the transmitter, so
-    subsequent packet transmissions proceed at the residual rate
-    [capacity_bps - background]. A rate of 0 (the default — no fluid
-    source attached) leaves every transmission time bit-identical to a
-    link without the hook. Raises [Invalid_argument] unless the rate
-    is in [[0, capacity_bps)]. *)
-
-val background_bps : t -> float
-
 val set_rate_factor : t -> float -> unit
 (** Fault-injection hook (see [Taq_fault]'s [brownout@T+D:frac=F]):
     degrade the transmitter to this fraction of its nominal rate —
-    subsequent transmissions take [size / ((capacity - background) *
-    factor)] seconds. A packet already on the wire keeps its scheduled
-    completion. The default factor 1.0 is the exact multiplicative
-    identity, so links without an active brownout compute
-    bit-identical transmission times. Raises [Invalid_argument] unless
-    the factor is in [(0, 1]]. *)
+    subsequent transmissions take [size / (capacity * factor)] seconds.
+    A packet already on the wire keeps its scheduled completion. The
+    default factor 1.0 is the exact multiplicative identity, so links
+    without an active brownout compute bit-identical transmission
+    times. Raises [Invalid_argument] unless the factor is in
+    [(0, 1]]. *)
 
 val rate_factor : t -> float
 

@@ -159,7 +159,7 @@ let assoc_drift ~kind base cur =
   in
   go [] base cur
 
-let diff ?tolerance_pct ~baseline ~current () =
+let diff ?tolerance_pct ~known ~baseline ~current () =
   let failures = ref [] in
   let notes = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -171,7 +171,12 @@ let diff ?tolerance_pct ~baseline ~current () =
   List.iter
     (fun (b : target) ->
       match List.find_opt (fun c -> c.name = b.name) current.targets with
-      | None -> note "%s: not run, skipped" b.name
+      | None when List.mem b.name known -> note "%s: not run, skipped" b.name
+      | None ->
+          fail
+            "%s: no such target in this build (a stale baseline entry: \
+             delete it from the baseline)"
+            b.name
       | Some c ->
           let drift =
             assoc_drift ~kind:"counter" b.counters c.counters
@@ -220,10 +225,10 @@ let diff ?tolerance_pct ~baseline ~current () =
   | [] -> Ok (List.rev !notes)
   | fs -> Error fs
 
-let compare_files ?tolerance_pct ~baseline_path ~current_path () =
+let compare_files ?tolerance_pct ~known ~baseline_path ~current_path () =
   match load ~path:baseline_path with
   | Error msg -> Error [ Printf.sprintf "baseline: %s" msg ]
   | Ok baseline -> (
       match load ~path:current_path with
       | Error msg -> Error [ Printf.sprintf "current: %s" msg ]
-      | Ok current -> diff ?tolerance_pct ~baseline ~current ())
+      | Ok current -> diff ?tolerance_pct ~known ~baseline ~current ())

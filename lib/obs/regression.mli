@@ -35,6 +35,7 @@ val save : path:string -> bench -> unit
 
 val diff :
   ?tolerance_pct:float ->
+  known:string list ->
   baseline:bench ->
   current:bench ->
   unit ->
@@ -46,10 +47,14 @@ val diff :
     [baseline * (1 + pct/100)], events/sec at least
     [baseline / (1 + pct/100)] (throughput regresses downward).
     [Error failures] otherwise. A scale mismatch (quick vs full) is a
-    failure; a baseline target that was not run is only a note. *)
+    failure. A baseline target that was not run is only a note when it
+    is in [known] (the targets this build can run) and a failure
+    otherwise: a stale entry for a deleted target would be gated by
+    nothing. *)
 
 val compare_files :
   ?tolerance_pct:float ->
+  known:string list ->
   baseline_path:string ->
   current_path:string ->
   unit ->

@@ -66,10 +66,10 @@ let test_group_masking () =
 
 let test_groups_of_string () =
   (match Check.groups_of_string "all" with
-  | Ok gs -> Alcotest.(check int) "all" 8 (List.length gs)
+  | Ok gs -> Alcotest.(check int) "all" 7 (List.length gs)
   | Error e -> Alcotest.fail e);
-  (match Check.groups_of_string "fluid" with
-  | Ok gs -> Alcotest.(check bool) "fluid" true (gs = [ Check.Fluid ])
+  (match Check.groups_of_string "resil" with
+  | Ok gs -> Alcotest.(check bool) "resil" true (gs = [ Check.Resil ])
   | Error e -> Alcotest.fail e);
   (match Check.groups_of_string "net, tcp" with
   | Ok gs ->
@@ -101,6 +101,32 @@ let test_report_mentions_groups () =
   in
   Alcotest.(check bool) "mentions queueing" true (contains r "queueing");
   Alcotest.(check bool) "mentions message" true (contains r "drifted")
+
+(* The parse error names every group there is, so its hint stays in
+   step with [all_groups]. *)
+let test_groups_error_lists_groups () =
+  match Check.groups_of_string "fluid" with
+  | Ok _ -> Alcotest.fail "fluid accepted"
+  | Error e ->
+      Alcotest.(check string)
+        "error names every group"
+        (Printf.sprintf "unknown check group \"fluid\" (expected all, %s)"
+           (String.concat ", " (List.map Check.group_name Check.all_groups)))
+        e
+
+(* A clean all-groups report is a header, one row per group in
+   [all_groups] order, and the total. *)
+let test_report_rows () =
+  let r = Check.report (Check.create ~mode:Check.Count ()) in
+  let first_words =
+    String.split_on_char '\n' r
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> List.hd (String.split_on_char ' ' (String.trim l)))
+  in
+  Alcotest.(check (list string))
+    "rows"
+    (("invariant" :: List.map Check.group_name Check.all_groups) @ [ "total" ])
+    first_words
 
 (* --- hook smoke tests --------------------------------------------------- *)
 
@@ -467,6 +493,9 @@ let () =
           Alcotest.test_case "groups_of_string" `Quick test_groups_of_string;
           Alcotest.test_case "merge_into" `Quick test_merge_into;
           Alcotest.test_case "report" `Quick test_report_mentions_groups;
+          Alcotest.test_case "groups error lists groups" `Quick
+            test_groups_error_lists_groups;
+          Alcotest.test_case "report rows" `Quick test_report_rows;
         ] );
       ( "hooks",
         [

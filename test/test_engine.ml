@@ -483,6 +483,23 @@ let test_sim_schedule_i_cancel () =
     (Invalid_argument "Sim.schedule_i: reserved argument")
     (fun () -> ignore (Sim.schedule_i sim ~at:9.0 note min_int))
 
+(* [every] ticks at now + period, now + 2·period, … through [until]
+   inclusive, as ordinary calendar events interleaved with the rest. *)
+let test_sim_every () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  ignore (Sim.schedule sim ~at:0.75 (fun () -> log := "event" :: !log));
+  Sim.every sim ~period:0.5 ~until:2.0 (fun () ->
+      log := Printf.sprintf "tick %g" (Sim.now sim) :: !log);
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "ticks through until, interleaved"
+    [ "tick 0.5"; "event"; "tick 1"; "tick 1.5"; "tick 2" ]
+    (List.rev !log);
+  Alcotest.check_raises "non-positive period"
+    (Invalid_argument "Sim.every: period must be positive") (fun () ->
+      Sim.every sim ~period:0.0 ~until:1.0 ignore)
+
 let () =
   Alcotest.run "taq_engine"
     [
@@ -516,6 +533,7 @@ let () =
             test_sim_handle_stale_after_fire;
           Alcotest.test_case "schedule_i cancel + args" `Quick
             test_sim_schedule_i_cancel;
+          Alcotest.test_case "every" `Quick test_sim_every;
         ] );
       ( "properties",
         List.map (QCheck_alcotest.to_alcotest ~rand:(Qcheck_seed.rand ~file:"test_engine"))

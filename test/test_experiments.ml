@@ -39,6 +39,79 @@ let test_env_taq_accessible () =
   let env = Common.make_env ~queue ~capacity_bps:1e6 ~buffer_pkts:20 () in
   Alcotest.(check bool) "taq disc exposed" true (env.Common.taq <> None)
 
+(* make_env splits the root PRNG only for disciplines that draw random
+   numbers (RED, CHOKe, CHOKeD); every other env hands its flows the
+   unsplit root stream, so env layers that draw nothing never reseed a
+   run. *)
+let test_env_prng_splits () =
+  let module Prng = Taq_util.Prng in
+  let next_draw name =
+    let queue = Common.queue_of_disc ~capacity_bps:1e6 ~buffer_pkts:20 name in
+    let env =
+      Common.make_env ~queue ~capacity_bps:1e6 ~buffer_pkts:20 ~seed:7 ()
+    in
+    Prng.bits64 env.Common.prng
+  in
+  let root = Prng.create ~seed:7 in
+  let first = Prng.bits64 root in
+  let second = Prng.bits64 root in
+  List.iter
+    (fun name ->
+      Alcotest.(check int64) (name ^ " draws the root stream") first
+        (next_draw name))
+    [ "droptail"; "sfq"; "drr"; "codel"; "las"; "taq"; "taq+ac" ];
+  List.iter
+    (fun name ->
+      Alcotest.(check int64) (name ^ " splits once") second (next_draw name))
+    [ "red"; "choke"; "choked" ]
+
+(* An empty fault plan attaches no injector (and so splits no PRNG
+   stream); a non-empty one does. *)
+let test_env_empty_plan_attaches_nothing () =
+  let env plan =
+    let faults =
+      match Taq_fault.Plan.of_string plan with
+      | Ok p -> p
+      | Error e -> Alcotest.fail e
+    in
+    Common.make_env ~faults ~queue:Common.Droptail ~capacity_bps:1e6
+      ~buffer_pkts:20 ~seed:7 ()
+  in
+  let empty = env "" in
+  Alcotest.(check bool) "no injector" true (empty.Common.faults = None);
+  Alcotest.(check int64) "root stream unsplit"
+    (Taq_util.Prng.bits64 (Taq_util.Prng.create ~seed:7))
+    (Taq_util.Prng.bits64 empty.Common.prng);
+  Alcotest.(check bool) "injector" true ((env "flap@1+2").Common.faults <> None)
+
+(* A classic sweep point's report opens with its parameter line, in the
+   format that cached results were written in. *)
+let test_classic_report_header () =
+  let setting =
+    {
+      Sweep.rtt = 0.1;
+      duration = 2.0;
+      buffer_rtts = 1.0;
+      faults = None;
+      guard = None;
+      resil = None;
+    }
+  in
+  match
+    Sweep.grid setting ~queues:[ "droptail" ] ~capacities:[ 200e3 ]
+      ~fair_shares:[ 50e3 ] ~reps:1
+  with
+  | [ p ] ->
+      let out = Taq_harness.Task.run (Sweep.task p) in
+      Alcotest.(check string)
+        "header"
+        (Printf.sprintf
+           "queue=droptail backend=packet capacity=200000 fair_share=50000 \
+            flows=4 rep=0 seed=%d"
+           (Taq_harness.Task.seed_of_key (Sweep.key p)))
+        (List.hd (String.split_on_char '\n' out))
+  | _ -> Alcotest.fail "one point expected"
+
 (* --- Fairness driver (figs 2/8/11) -------------------------------------- *)
 
 let tiny_fairness queues =
@@ -294,8 +367,7 @@ let test_ablations_structure () =
 let test_registry_complete () =
   let expected =
     [ "fig1"; "fig2"; "fig3"; "codel-fig3"; "hangs"; "fig6"; "fig8"; "fig9";
-      "fig10"; "fig11"; "fig12"; "cubic"; "http"; "aqm"; "flood"; "ablate";
-      "hybrid-validate"; "mega" ]
+      "fig10"; "fig11"; "fig12"; "cubic"; "http"; "aqm"; "flood"; "ablate" ]
   in
   Alcotest.(check (list string)) "all figure targets present" expected
     Registry.names;
@@ -306,6 +378,20 @@ let test_registry_complete () =
       | None -> Alcotest.failf "missing %s" name)
     expected;
   Alcotest.(check bool) "unknown is None" true (Registry.find "nope" = None)
+
+(* The committed bench baseline pins exactly the targets this build
+   runs: every registry target plus the micro suite. An entry for a
+   deleted target would be gated by nothing, and a target without an
+   entry goes ungated. *)
+let test_baseline_matches_registry () =
+  match Taq_obs.Regression.load ~path:"../bench/BASELINE.json" with
+  | Error e -> Alcotest.fail e
+  | Ok b ->
+      let names = List.map (fun t -> t.Taq_obs.Regression.name) in
+      Alcotest.(check (list string))
+        "baseline targets"
+        (List.sort String.compare ("micro" :: Registry.names))
+        (List.sort String.compare (names b.Taq_obs.Regression.targets))
 
 (* Every registry target must run to completion at quick scale through
    the capture path (the route the bench pool and the sweep harness
@@ -341,6 +427,11 @@ let () =
           Alcotest.test_case "buffer for rtts" `Quick test_buffer_for_rtts;
           Alcotest.test_case "queue kinds" `Quick test_env_queue_kinds;
           Alcotest.test_case "taq accessible" `Quick test_env_taq_accessible;
+          Alcotest.test_case "prng splits" `Quick test_env_prng_splits;
+          Alcotest.test_case "empty fault plan" `Quick
+            test_env_empty_plan_attaches_nothing;
+          Alcotest.test_case "classic report header" `Quick
+            test_classic_report_header;
         ] );
       ( "fairness",
         [
@@ -364,6 +455,8 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "complete" `Quick test_registry_complete;
+          Alcotest.test_case "bench baseline matches" `Quick
+            test_baseline_matches_registry;
           Alcotest.test_case "all targets run at quick scale" `Slow
             test_registry_targets_smoke;
         ] );

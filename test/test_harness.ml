@@ -2,8 +2,8 @@
    once, results stay input-ordered at jobs in {1,4}, duplicate keys
    rejected), deterministic task-seed derivation, per-task output
    capture, the on-disk result cache, the write-ahead journal, the
-   durable runner driven through kill-and-resume (sweep-style tasks
-   and the real mega tier), the pinned task keys, and a qcheck
+   durable runner driven through kill-and-resume, the pinned task
+   keys, and a qcheck
    property that parallel and sequential runs of the same task list
    produce identical per-task outputs. *)
 
@@ -15,7 +15,6 @@ module Journal = Taq_harness.Journal
 module Durable = Taq_harness.Durable
 module Obs = Taq_obs.Obs
 module Sweep = Taq_experiments.Sweep
-module Mega_tier = Taq_experiments.Mega_tier
 
 let contains ~needle hay =
   let nh = String.length hay and nn = String.length needle in
@@ -883,74 +882,6 @@ let test_durable_resume_counters_identical () =
                 (payload expected) (payload actual))
             reference resumed))
 
-(* A small mega tier: two shards, one simulated second. *)
-let small_mega =
-  {
-    Mega_tier.quick with
-    total_flows = 2000;
-    shards = 2;
-    capacity_bps = 12e6;
-    duration = 1.0;
-  }
-
-(* The same arc through the real mega tier: a checkpointed run killed
-   once one shard was journaled (the journal cut after its first
-   Finish record, the other shard's cache entry gone), then resumed.
-   Report and merged counters must match the uninterrupted run; only
-   the restored-count note differs. *)
-let test_mega_checkpoint_resume () =
-  let p = small_mega in
-  let report r =
-    Capture.text (fun () -> Mega_tier.print r)
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> not (contains ~needle:"restored" l))
-  in
-  with_counters (fun () ->
-      with_temp_cache (fun cache ->
-          let journal = Filename.concat (Cache.dir cache) "mega.journal" in
-          let checkpoint ck_resume =
-            { Mega_tier.ck_cache = cache; ck_journal = Some journal; ck_resume }
-          in
-          let full = Mega_tier.run ~jobs:2 ~checkpoint:(checkpoint false) p in
-          let rec upto_first_finish = function
-            | [] -> []
-            | l :: rest ->
-                l
-                :: (if contains ~needle:" done " l then []
-                    else upto_first_finish rest)
-          in
-          let kept =
-            upto_first_finish
-              (String.split_on_char '\n'
-                 (In_channel.with_open_bin journal In_channel.input_all))
-          in
-          Out_channel.with_open_bin journal (fun oc ->
-              List.iter (fun l -> output_string oc (l ^ "\n")) kept);
-          List.iter
-            (fun shard ->
-              let key = Mega_tier.shard_key p ~shard in
-              let finished = contains ~needle:(" done " ^ key ^ " ") in
-              if not (List.exists finished kept) then
-                Sys.remove (entry_path cache ~key:(Cache.key ~parts:[ key ])))
-            [ 0; 1 ];
-          let resumed = Mega_tier.run ~jobs:2 ~checkpoint:(checkpoint true) p in
-          Alcotest.(check int) "one shard restored" 1
-            resumed.Mega_tier.restored_shards;
-          Alcotest.(check (list string)) "report identical" (report full)
-            (report resumed);
-          Alcotest.(check bool) "merged counters identical" true
-            (same_counters
-               (Obs.merge_all resumed.Mega_tier.obs_snaps)
-               (Obs.merge_all full.Mega_tier.obs_snaps));
-          (* A plain rerun serves both shards from the cache without
-             counting them restored, and journals them for the next
-             resume. *)
-          let rerun = Mega_tier.run ~jobs:2 ~checkpoint:(checkpoint false) p in
-          let again = Mega_tier.run ~jobs:2 ~checkpoint:(checkpoint true) p in
-          Alcotest.(check (pair int int))
-            "restored by a plain rerun, then by a resume" (0, 2)
-            (rerun.Mega_tier.restored_shards, again.Mega_tier.restored_shards)))
-
 (* --- Task keys: pinned to their historical strings ------------------------- *)
 
 (* Keys are seeds, cache addresses and journal names at once: a drift
@@ -969,27 +900,31 @@ let test_task_keys_pinned () =
       faults = Some plan;
       guard = Some 256;
       resil = Some Taq_resil.Policy.default;
-      backend = { Sweep.kind = `Hybrid; bg_flows = 8; fluid_dt = 0.05 };
     }
   in
   Alcotest.(check (list string))
     "classic point"
     [
-      "sweep/v1/queue=taq+ac/cap=400000/fs=40000/rtt=0.2/dur=4/buf=1/rep=0/faults=flap@1+1/guard=256/resil=period=0.5,sustain=3,eps-jain=0.05,eps-drop=0.02,eps-occ-frac=0.5,eps-occ-floor=3/backend=hybrid/fluid=n=8,rtt=0.2,pkt=500,dt=0.05";
+      "sweep/v1/queue=taq+ac/cap=400000/fs=40000/rtt=0.2/dur=4/buf=1/rep=0/faults=flap@1+1/guard=256/resil=period=0.5,sustain=3,eps-jain=0.05,eps-drop=0.02,eps-occ-frac=0.5,eps-occ-floor=3";
     ]
     (List.map Sweep.key
        (Sweep.grid setting ~queues:[ "taq+ac" ] ~capacities:[ 400e3 ]
           ~fair_shares:[ 40e3 ] ~reps:1));
+  (* Settings that are not in play add no suffix. *)
+  Alcotest.(check (list string))
+    "bare classic point"
+    [ "sweep/v1/queue=droptail/cap=600000/fs=10000/rtt=0.2/dur=4/buf=1/rep=0" ]
+    (List.map Sweep.key
+       (Sweep.grid
+          { setting with faults = None; guard = None; resil = None }
+          ~queues:[ "droptail" ] ~capacities:[ 600e3 ] ~fair_shares:[ 10e3 ]
+          ~reps:1));
   Alcotest.(check (result (list string) string))
     "matrix cell"
     (Ok [ "matrix/v1/disc=taq/tcp=cubic/wl=mice/fault=flood/guard=128" ])
     (Result.map (List.map Sweep.key)
        (Sweep.matrix ~discs:[ "taq" ] ~tcps:[ "cubic" ] ~workloads:[ "mice" ]
           ~faults:[ "flood" ] ~guard:(Some 128)));
-  Alcotest.(check string)
-    "mega shard"
-    "mega/v1/flows=2000/shards=2/shard=1/cap=12000000/fg=4/rtt=0.2/dur=1/buf=1/dt=0.05/seed=42"
-    (Mega_tier.shard_key small_mega ~shard:1);
   let flap = Option.get (Taq_fault.Scenarios.find "flap-slow-start") in
   Alcotest.(check (result (list string) string))
     "fault drill"
@@ -1107,8 +1042,6 @@ let () =
         [
           Alcotest.test_case "kill-mid-sweep resume: counters identical"
             `Quick test_durable_resume_counters_identical;
-          Alcotest.test_case "mega checkpoint kill and resume" `Quick
-            test_mega_checkpoint_resume;
         ] );
       ( "keys",
         [

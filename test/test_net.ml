@@ -69,6 +69,34 @@ let test_link_transmission_time () =
   Sim.run sim;
   Alcotest.(check (float 1e-9)) "tx + prop" 1.5 !arrival
 
+(* A brownout runs the transmitter at [capacity * factor]: the same
+   1000-byte packet takes 2 s at half rate. Factors outside (0, 1] are
+   rejected and leave the rate as it was. *)
+let test_link_rate_factor () =
+  let sim = Sim.create () in
+  let disc = Disc.fifo_of_queue ~name:"t" ~capacity_pkts:10 () in
+  let arrival = ref nan in
+  let link =
+    Link.create ~sim ~capacity_bps:8000.0 ~prop_delay:0.5 ~disc
+      ~deliver:(fun _ -> arrival := Sim.now sim)
+      ()
+  in
+  Link.set_rate_factor link 0.5;
+  ignore
+    (Sim.schedule sim ~at:0.0 (fun () -> Link.send link (mk_pkt ~size:1000 ())));
+  Sim.run sim;
+  Alcotest.(check (float 1e-9)) "half-rate tx + prop" 2.5 !arrival;
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "factor %g rejected" f)
+        true
+        (match Link.set_rate_factor link f with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ 0.0; 1.5; Float.nan ];
+  Alcotest.(check (float 0.0)) "rate unchanged" 0.5 (Link.rate_factor link)
+
 let test_link_serializes () =
   (* Two packets back to back: second is delayed by the first's
      transmission time. *)
@@ -391,6 +419,7 @@ let () =
       ( "link",
         [
           Alcotest.test_case "tx time" `Quick test_link_transmission_time;
+          Alcotest.test_case "rate factor" `Quick test_link_rate_factor;
           Alcotest.test_case "serializes" `Quick test_link_serializes;
           Alcotest.test_case "drops" `Quick test_link_counts_drops;
           Alcotest.test_case "utilization" `Quick test_link_utilization;

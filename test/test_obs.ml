@@ -14,8 +14,9 @@
    - aggregation determinism: the merged per-task counters of a mini
      sweep over a Harness.Pool are identical at jobs=1 and jobs=4;
    - the bench-regression gate: exact counter drift fails, wall-clock
-     only fails when a tolerance is given, scale mismatch fails, and
-     BENCH.json documents survive a save/load round-trip. *)
+     only fails when a tolerance is given, scale mismatch and stale
+     baseline entries fail, and BENCH.json documents survive a
+     save/load round-trip. *)
 
 module Obs = Taq_obs.Obs
 module Trace = Taq_obs.Trace
@@ -251,7 +252,6 @@ let mini_sweep_tasks () =
          faults = None;
          guard = None;
          resil = None;
-         backend = { Sweep.kind = `Packet; bg_flows = 0; fluid_dt = 0.05 };
        }
        ~queues:[ "droptail"; "sfq"; "taq" ] ~capacities:[ 200e3 ]
        ~fair_shares:[ 50e3 ] ~reps:1)
@@ -312,8 +312,9 @@ let target ?(seconds = 1.0) ?(events_per_sec = 0.0) ?(gc_minor_words = 0.0)
 
 let bench ?(scale = "quick") targets = { Regression.scale; jobs = 1; targets }
 
-let check_diff ?tolerance_pct ~baseline ~current expect_ok name =
-  match Regression.diff ?tolerance_pct ~baseline ~current () with
+let check_diff ?tolerance_pct ?(known = [ "fig1" ]) ~baseline ~current
+    expect_ok name =
+  match Regression.diff ?tolerance_pct ~known ~baseline ~current () with
   | Ok _ -> Alcotest.(check bool) name true expect_ok
   | Error _ -> Alcotest.(check bool) name false expect_ok
 
@@ -330,6 +331,17 @@ let test_gate_exact_match () =
   check_diff ~baseline:b ~current:extra false "new counter fails";
   let skipped = bench [ target "other" ] in
   check_diff ~baseline:b ~current:skipped true "unrun target only a note"
+
+(* A baseline entry for a target the build no longer has would be
+   gated by nothing, so it fails; an unselected known target stays a
+   note. *)
+let test_gate_stale_entry () =
+  let b = bench [ target "fig1"; target "gone" ] in
+  let c = bench [ target "fig1" ] in
+  check_diff ~known:[ "fig1" ] ~baseline:b ~current:c false
+    "unknown baseline target fails";
+  check_diff ~known:[ "fig1"; "gone" ] ~baseline:b ~current:c true
+    "known but unselected target only a note"
 
 let test_gate_tolerance () =
   let b = bench [ target "fig1" ~seconds:1.0 ] in
@@ -407,12 +419,16 @@ let test_compare_files () =
       Regression.save ~path:pb b;
       Regression.save ~path:pc b;
       (match
-         Regression.compare_files ~baseline_path:pb ~current_path:pc ()
+         Regression.compare_files ~known:[ "fig1" ] ~baseline_path:pb
+           ~current_path:pc ()
        with
       | Ok _ -> ()
       | Error es -> Alcotest.fail (String.concat "; " es));
       Regression.save ~path:pc drift;
-      match Regression.compare_files ~baseline_path:pb ~current_path:pc () with
+      match
+        Regression.compare_files ~known:[ "fig1" ] ~baseline_path:pb
+          ~current_path:pc ()
+      with
       | Ok _ -> Alcotest.fail "drifted files accepted"
       | Error es ->
           Alcotest.(check bool) "failure reported" true (es <> []))
@@ -535,6 +551,8 @@ let () =
           Alcotest.test_case "throughput + gc tolerance" `Quick
             test_gate_throughput_and_gc;
           Alcotest.test_case "scale mismatch" `Quick test_gate_scale_mismatch;
+          Alcotest.test_case "stale baseline entry" `Quick
+            test_gate_stale_entry;
           Alcotest.test_case "save/load round-trip" `Quick test_bench_save_load;
           Alcotest.test_case "compare_files" `Quick test_compare_files;
         ] );
