@@ -480,22 +480,10 @@ let sweep_cmd =
              when given bare) on every taq/taq+ac point. Part of the cache \
              key, so guarded and unguarded sweeps never share entries.")
   in
-  let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Inject two deliberately unhealthy tasks (one crashes, one \
-             hangs) into the sweep to exercise the pool's quarantine path. \
-             They are reported but excluded from the exit status. Requires \
-             --timeout-s (the hanging task is only bounded by the deadline).")
-  in
   let run queues matrix tcps workloads fault_axis capacities fair_shares reps
       rtt duration buffer_rtts guard jobs results_dir no_cache resume timeout_s
-      retries chaos check obs faults resil =
+      retries check obs faults resil =
     if reps < 1 then `Error (false, "--reps must be >= 1")
-    else if chaos && timeout_s = None then
-      `Error (false, "--chaos requires --timeout-s (it injects a hanging task)")
     else if resume && no_cache then
       `Error
         (false,
@@ -537,22 +525,6 @@ let sweep_cmd =
           Ok (Sweep.grid setting ~queues ~capacities ~fair_shares ~reps)
       in
       Harness.Pool.install_signal_cancellation ~label:"sweep" ();
-      (* Deliberately unhealthy tasks: exercise the pool's quarantine
-         path in-situ (CI runs this). They bypass the cache and journal
-         and are excluded from the exit status below. *)
-      let chaos_tasks =
-        if not chaos then []
-        else
-          [
-            Harness.Task.make ~key:"chaos/crash" (fun ~seed:_ ->
-                failwith "chaos: deliberate crash");
-            Harness.Task.make ~key:"chaos/hang" (fun ~seed:_ ->
-                while true do
-                  Unix.sleepf 0.05
-                done;
-                "unreachable");
-          ]
-      in
       let progress ~completed ~total (r : string Harness.Pool.result) =
         Printf.eprintf "[%d/%d] %s (%.1f s, %s)\n%!" completed total
           r.Harness.Pool.key r.Harness.Pool.elapsed_s (Harness.Pool.status r)
@@ -562,7 +534,7 @@ let sweep_cmd =
          restores journaled-complete points, so the merged report and
          counter table come out byte-identical to an uninterrupted
          run. *)
-      let* all =
+      let* results =
         try
           Ok
             (Durable.run ~jobs ?timeout_s ~retries
@@ -570,14 +542,12 @@ let sweep_cmd =
                  (if no_cache then None
                   else Some (Harness.Cache.create ~dir:results_dir ()))
                ~journal:(Filename.concat results_dir "sweep.journal")
-               ~resume ~on_done:progress ~transient:chaos_tasks
+               ~resume ~on_done:progress
                Durable.identity
                (List.map Sweep.task points))
         with Invalid_argument msg -> Error msg
       in
       let n_points = List.length points in
-      let results = List.filteri (fun i _ -> i < n_points) all
-      and chaos = List.filteri (fun i _ -> i >= n_points) all in
       let summary =
         Taq_util.Table.create ~columns:[ "task"; "seconds"; "source" ]
       in
@@ -623,11 +593,6 @@ let sweep_cmd =
         Printf.printf "\n-- matrix report (%d cell(s)) --\n\n" n_points;
         Taq_util.Table.print ~oc:stdout (Sweep.matrix_report outputs)
       end;
-      (* Chaos tasks are reported but never gate the exit status. *)
-      List.iter
-        (fun (r : _ Durable.result) ->
-          row r (Printf.sprintf "chaos (%s)" r.Durable.status))
-        chaos;
       Printf.printf "\n-- sweep summary (%d points, jobs=%d) --\n\n" n_points
         jobs;
       Taq_util.Table.print ~oc:stdout summary;
@@ -672,7 +637,7 @@ let sweep_cmd =
         (const run $ queues $ matrix $ tcps $ workloads $ fault_axis
        $ capacities $ fair_shares $ reps $ rtt_arg $ duration_arg
        $ buffer_rtts_arg $ guard $ jobs $ results_dir $ no_cache $ resume
-       $ timeout_s $ retries $ chaos $ check_arg $ obs_arg $ faults_arg $ resil_arg))
+       $ timeout_s $ retries $ check_arg $ obs_arg $ faults_arg $ resil_arg))
 
 (* --- faults --------------------------------------------------------------- *)
 

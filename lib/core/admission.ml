@@ -1,7 +1,15 @@
 type decision = Admitted | Rejected
 
+(* §4.3's fixed parameters. Admission resumes below [pthresh -
+   hysteresis] ("slightly smaller ... as a congestion avoidance
+   strategy"); [t_wait] stays under the SYN retry timeout. *)
+let hysteresis = 0.02
+let t_wait = 2.5
+let pool_expiry = 60.0
+let loss_alpha = 0.005
+
 type t = {
-  config : Taq_config.admission;
+  pthresh : float;
   now : unit -> float;
   loss : Taq_util.Ewma.t;
   admitted : (int, float) Hashtbl.t;  (* pool -> last active *)
@@ -10,11 +18,11 @@ type t = {
   mutable last_forced : float;  (* last Twait-guaranteed admission *)
 }
 
-let create ~config ~now =
+let create ~pthresh ~now =
   {
-    config;
+    pthresh;
     now;
-    loss = Taq_util.Ewma.create ~alpha:config.Taq_config.loss_alpha;
+    loss = Taq_util.Ewma.create ~alpha:loss_alpha;
     admitted = Hashtbl.create 64;
     waiting = Hashtbl.create 64;
     wait_order = [];
@@ -41,7 +49,7 @@ let on_syn t ~key =
     Admitted
   end
   else begin
-    let threshold = t.config.Taq_config.pthresh -. t.config.Taq_config.hysteresis in
+    let threshold = t.pthresh -. hysteresis in
     if loss_rate t < threshold then begin
       admit t ~key;
       Admitted
@@ -59,8 +67,8 @@ let on_syn t ~key =
       let waited = now -. Hashtbl.find t.waiting key in
       if
         head_is_us
-        && waited >= t.config.Taq_config.t_wait
-        && now -. t.last_forced >= t.config.Taq_config.t_wait
+        && waited >= t_wait
+        && now -. t.last_forced >= t_wait
       then begin
         t.last_forced <- now;
         admit t ~key;
@@ -72,8 +80,6 @@ let on_syn t ~key =
 
 let touch t ~key =
   if Hashtbl.mem t.admitted key then Hashtbl.replace t.admitted key (t.now ())
-
-let is_admitted t ~key = Hashtbl.mem t.admitted key
 
 let admitted_count t = Hashtbl.length t.admitted
 
@@ -95,12 +101,9 @@ let feedback t ~key =
         (* Pools ahead of us each consume one Twait slot; our own slot
            opens Twait after the previous forced admission. *)
         let now = t.now () in
-        let next_slot =
-          Float.max 0.0 (t.last_forced +. t.config.Taq_config.t_wait -. now)
-        in
+        let next_slot = Float.max 0.0 (t.last_forced +. t_wait -. now) in
         let expected_wait =
-          next_slot
-          +. (float_of_int (position - 1) *. t.config.Taq_config.t_wait)
+          next_slot +. (float_of_int (position - 1) *. t_wait)
         in
         Some { position; expected_wait }
   end
@@ -111,10 +114,9 @@ let shed_waiting t =
 
 let expire t =
   let now = t.now () in
-  let expiry = t.config.Taq_config.pool_expiry in
   let stale = ref [] in
   Hashtbl.iter
-    (fun key last -> if now -. last > expiry then stale := key :: !stale)
+    (fun key last -> if now -. last > pool_expiry then stale := key :: !stale)
     t.admitted;
   List.iter (Hashtbl.remove t.admitted) !stale;
   (* Waiting pools whose client never retries its SYN would otherwise
@@ -124,7 +126,7 @@ let expire t =
   let stale_waiting = ref [] in
   Hashtbl.iter
     (fun key first ->
-      if now -. first > expiry then stale_waiting := key :: !stale_waiting)
+      if now -. first > pool_expiry then stale_waiting := key :: !stale_waiting)
     t.waiting;
   if !stale_waiting <> [] then begin
     List.iter (Hashtbl.remove t.waiting) !stale_waiting;

@@ -7,13 +7,27 @@
     connections of one application session) are admitted only while
     the loss rate is below threshold, rejected SYNs are dropped (the
     client's SYN retry keeps the request alive), and a rejected pool
-    is guaranteed admission within [t_wait]. *)
+    is guaranteed admission within {!t_wait}.
+
+    Only the threshold [pthresh] is a parameter; the rest are the
+    constants below, plus a 0.02 hysteresis (pools are admitted again
+    once the loss rate falls below [pthresh - 0.02]) and a 0.005 EWMA
+    weight on the per-packet loss signal. *)
+
+val t_wait : float
+(** A rejected pool is guaranteed admission after this long (2.5 s,
+    kept under the SYN retry timeout). *)
+
+val pool_expiry : float
+(** Pools idle this long are forgotten (60 s). *)
 
 type t
 
 type decision = Admitted | Rejected
 
-val create : config:Taq_config.admission -> now:(unit -> float) -> t
+val create : pthresh:float -> now:(unit -> float) -> t
+(** [pthresh] is the loss-rate threshold beyond which new pools are
+    refused (the model's tipping point, 0.1). *)
 
 val note_arrival : t -> unit
 (** A data packet was accepted at the queue (loss-signal 0). *)
@@ -28,14 +42,12 @@ val on_syn : t -> key:int -> decision
 (** Admission check for a connection attempt belonging to pool [key]
     (callers map pool-less flows to unique negative keys). While the
     loss rate is above threshold, waiting pools are admitted one at a
-    time, oldest first, at most one per [t_wait] — the paper's "after
+    time, oldest first, at most one per {!t_wait} — the paper's "after
     a specific wait time, the user is guaranteed admission for one
     flow pool". *)
 
 val touch : t -> key:int -> unit
 (** Mark the pool active (data seen), refreshing its expiry. *)
-
-val is_admitted : t -> key:int -> bool
 
 val admitted_count : t -> int
 
@@ -48,7 +60,7 @@ type feedback = {
   expected_wait : float;
       (** seconds until the Twait guarantee admits this pool, assuming
           the loss rate stays above threshold: one pool is admitted per
-          [t_wait], oldest first *)
+          {!t_wait}, oldest first *)
 }
 
 val feedback : t -> key:int -> feedback option
@@ -68,7 +80,7 @@ val shed_waiting : t -> unit
     SYNs, so live pools simply re-queue once admission resumes. *)
 
 val expire : t -> unit
-(** Drop admitted pools idle longer than [pool_expiry], {e and}
+(** Drop admitted pools idle longer than {!pool_expiry}, {e and}
     waiting pools first rejected that long ago (a client that never
     retries its SYN would otherwise occupy [waiting] and the Twait
     FIFO forever). Bounds both tables. *)

@@ -6,6 +6,12 @@
     short bursts at epoch starts, so the gap between burst starts
     approximates the RTT. *)
 
+val default_epoch : float
+(** The estimate before any evidence (0.2 s). Every estimate is
+    clamped to [0.02 .. 1] s (silences longer than an RTT must not
+    pollute the burst-based estimate), and revisions are folded in
+    with a moving-average weight of 0.25. *)
+
 type t
 
 val create : Taq_config.epoch_source -> t
@@ -18,9 +24,8 @@ val note_packet : t -> time:float -> unit
     burst detection. *)
 
 val epoch : t -> float
-(** Current estimate (the oracle value, the configured default before
-    any evidence, or the running estimate). Always within the
-    configured [min_epoch .. max_epoch] bounds. *)
+(** Current estimate: the oracle value, {!default_epoch} before any
+    evidence, or the running estimate, always within [0.02 .. 1] s. *)
 
 val samples : t -> int
 (** Number of revisions folded in (0 in oracle mode). *)

@@ -78,10 +78,6 @@ let is_silent = function
   | Timeout_silence | Extended_silence -> true
   | Slow_start | Normal | Loss_recovery | Timeout_recovery | Idle -> false
 
-let is_recovering = function
-  | Loss_recovery | Timeout_recovery -> true
-  | Slow_start | Normal | Timeout_silence | Extended_silence | Idle -> false
-
 let to_string = function
   | Slow_start -> "slow-start"
   | Normal -> "normal"

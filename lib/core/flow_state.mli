@@ -40,9 +40,6 @@ val step : t -> observation -> t
 val is_silent : t -> bool
 (** In a timeout-silence or extended-silence period. *)
 
-val is_recovering : t -> bool
-(** In loss or timeout recovery. *)
-
 val to_string : t -> string
 
 val all : t list

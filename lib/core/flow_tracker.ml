@@ -3,6 +3,8 @@ module Event_heap = Taq_engine.Event_heap
 
 type classification = New_data | Retransmission
 
+let flow_idle_timeout = 120.0
+
 type flow = {
   id : int;
   est : Epoch_estimator.t;
@@ -264,7 +266,7 @@ let tick t =
   Hashtbl.iter
     (fun _ f ->
       catch_up t f;
-      if now -. f.last_seen > t.config.Taq_config.flow_idle_timeout then
+      if now -. f.last_seen > flow_idle_timeout then
         expired := f :: !expired)
     t.flows;
   List.iter (forget t) !expired;
@@ -284,7 +286,7 @@ let epoch_len t ~flow =
     ~default:
       (match t.config.Taq_config.epoch_source with
       | Taq_config.Oracle rtt -> rtt
-      | Taq_config.Estimated { default_epoch; _ } -> default_epoch)
+      | Taq_config.Estimated -> Epoch_estimator.default_epoch)
     (fun f -> Epoch_estimator.epoch f.est)
 
 let epochs_observed t ~flow = with_flow t ~flow ~default:0 (fun f -> f.epochs_observed)

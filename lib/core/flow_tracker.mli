@@ -25,6 +25,9 @@ type t
 
 type classification = New_data | Retransmission
 
+val flow_idle_timeout : float
+(** Per-flow state is forgotten after this much silence (120 s). *)
+
 val create :
   obs:Taq_obs.Obs.t -> config:Taq_config.t -> now:(unit -> float) -> unit -> t
 (** [obs] receives the
@@ -44,8 +47,9 @@ val observe_drop : t -> Taq_net.Packet.t -> unit
 val tick : t -> unit
 (** Housekeeping: roll epochs of flows that have gone quiet (their
     state machine must advance through silent epochs even with no
-    packets arriving) and forget flows idle beyond the configured
-    timeout. Call periodically (the discipline schedules this). *)
+    packets arriving) and forget flows idle beyond
+    {!flow_idle_timeout}. Call periodically (the discipline schedules
+    this). *)
 
 val state : t -> flow:int -> Flow_state.t
 (** Unknown flows report {!Flow_state.initial}. *)

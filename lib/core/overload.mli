@@ -14,11 +14,12 @@
       new flows keep arriving — the signature of a flood, and a signal
       that clears by itself the moment arrivals stop (unlike table
       occupancy, which stays pinned at the cap until idle expiry);
-    - admission backlog: the {!Admission} waiting table exceeds
-      [waiting_high] pools.
+    - admission backlog: the {!Admission} waiting table holds at
+      least waiting_high (64) pools.
 
-    Hysteresis state machine (all dwell parameters from
-    {!Taq_config.guard}):
+    Hysteresis state machine. Its dwell times are constants of this
+    module: trip_after 0.25 s, clear_after 1 s, min_dwell 1 s and
+    recovery_dwell 1 s.
 
     {v
       Normal --(pressure sustained >= trip_after,
@@ -29,10 +30,10 @@
       Recovering --(calm, dwell >= recovery_dwell)-> Normal
     v}
 
-    The [min_dwell] floor on every edge is what makes the guard unable
-    to flap: mode changes are at least [min_dwell] apart, which the
-    [Guard] check group asserts on every transition. While [Degraded]
-    the discipline bypasses classification/admission/pushout (see
+    The min_dwell floor on every edge is what makes the guard unable
+    to flap: mode changes are at least min_dwell apart, which the [Guard]
+    check group asserts on every transition. While [Degraded] the
+    discipline bypasses classification/admission/pushout (see
     [Taq_disc]); [Recovering] re-enables them but stays trip-sensitive
     so a still-hot flood sends it straight back. *)
 
@@ -46,7 +47,6 @@ type t
 val create :
   check:Taq_check.Check.t ->
   obs:Taq_obs.Obs.t ->
-  guard:Taq_config.guard ->
   cap:int ->
   now:(unit -> float) ->
   unit ->
@@ -70,9 +70,6 @@ val sample : t -> tracked:int -> cap_evictions:int -> waiting:int -> unit
 
 val degraded_entered : t -> int
 val degraded_exited : t -> int
-
-val time_in_mode : t -> float
-(** Seconds since the last mode transition (or creation). *)
 
 val report : t -> string
 (** One-line summary, e.g. for drill output. *)

@@ -5,49 +5,20 @@
     a capacity-limited recovery queue, and a capped NewFlow queue used
     for admission control. The fair share is always the equal split of
     [capacity_bps] among active flows (§4.2's fair-queuing model).
-    Parameters no experiment varies are the values after {!t}, not
-    fields. *)
+    Only the values some caller varies are fields; every other
+    parameter is a constant of the one module that reads it
+    ({!Admission}, {!Overload}, {!Epoch_estimator}, {!Flow_tracker})
+    or one of the values after {!t}. *)
 
 type epoch_source =
-  | Estimated of {
-      default_epoch : float;  (** used before any estimate exists *)
-      min_epoch : float;
-      max_epoch : float;
-      alpha : float;  (** weight of the moving-average revision *)
-    }
+  | Estimated
       (** Middlebox-side epoch estimation (Section 3.3): the initial
           estimate is the SYN→first-data gap, revised by observing
-          packet bursts at epoch starts. *)
+          packet bursts at epoch starts (constants in
+          {!Epoch_estimator}). *)
   | Oracle of float
       (** A fixed, externally known RTT — the ablation switch; not what
           a deployed middlebox has. *)
-
-type admission = {
-  pthresh : float;  (** loss-rate threshold beyond which new pools are
-                        refused (the model's tipping point, 0.1) *)
-  hysteresis : float;  (** admit below [pthresh - hysteresis] ("slightly
-                           smaller ... as a congestion avoidance
-                           strategy") *)
-  t_wait : float;  (** a rejected pool is guaranteed admission after
-                       this long (kept under the SYN retry timeout) *)
-  pool_expiry : float;  (** forget pools idle this long *)
-  loss_alpha : float;  (** EWMA weight of the per-packet loss signal *)
-}
-
-type guard = {
-  trip_after : float;  (** sustained pressure (cap-eviction churn or
-                           admission backlog) for this long trips
-                           [Normal -> Degraded] *)
-  clear_after : float;  (** this long without pressure starts the exit
-                            from [Degraded] *)
-  min_dwell : float;  (** minimum time in any mode before the next
-                          transition — the anti-flap hysteresis *)
-  recovery_dwell : float;  (** time spent in [Recovering] (classification
-                               back on, trip-sensitive) before declaring
-                               [Normal] *)
-  waiting_high : int;  (** admission waiting-table size treated as
-                           pressure *)
-}
 
 type t = {
   capacity_pkts : int;  (** total buffer across all TAQ queues *)
@@ -61,14 +32,16 @@ type t = {
                                  flow moves to the OverPenalized queue
                                  (§4.2: "more than 2") *)
   epoch_source : epoch_source;
-  admission : admission option;  (** [None] disables admission control *)
-  flow_idle_timeout : float;  (** forget per-flow state after this much
-                                  silence *)
+  admission : float option;  (** [Some pthresh] enables admission
+                                 control: new pools are refused while
+                                 the loss rate is above pthresh (the
+                                 model's tipping point, 0.1). [None]
+                                 disables it. *)
   max_tracked_flows : int;  (** hard cap on [Flow_tracker] entries;
                                 enforced by idle-first/LRU eviction at
                                 insert time *)
-  guard : guard option;  (** [None] disables the overload guard (the
-                             tracker cap still holds) *)
+  guard : bool;  (** the overload guard ({!Overload}); off, the tracker
+                     cap still holds *)
 }
 
 val newflow_cap : t -> int
@@ -82,20 +55,13 @@ val slowstart_epochs : int
 val tick_interval : float
 (** Housekeeping period for rolling epochs of silent flows (0.05 s). *)
 
-val default_admission : admission
-
-val default_guard : guard
-(** trip_after 0.25 s, clear_after 1 s, min_dwell 1 s,
-    recovery_dwell 1 s, waiting_high 64. *)
-
 val default : capacity_pkts:int -> capacity_bps:float -> t
 (** No admission control; estimated epochs; recovery share 0.25;
     max_tracked_flows 65536; no guard. *)
 
 val with_admission : capacity_pkts:int -> capacity_bps:float -> t
-(** {!default} plus {!default_admission}. *)
+(** {!default} plus admission control at pthresh 0.1. *)
 
-val with_guard : ?guard:guard -> max_tracked_flows:int -> t -> t
+val with_guard : max_tracked_flows:int -> t -> t
 (** Enable the overload guard with a (validated) tracker cap.
-    @raise Invalid_argument on a cap < 1 or nonsensical guard fields
-    (negative dwells, [clear_after <= 0], [waiting_high < 1]). *)
+    @raise Invalid_argument on a cap < 1. *)

@@ -51,6 +51,18 @@ let rank = function
       1
   | Taq_queues.Above_fair_share -> 2
 
+let make_admission config ~now =
+  Option.map
+    (fun pthresh -> Admission.create ~pthresh ~now)
+    config.Taq_config.admission
+
+let make_guard ~check ~obs config ~now =
+  if config.Taq_config.guard then
+    Some
+      (Overload.create ~check ~obs ~cap:config.Taq_config.max_tracked_flows
+         ~now ())
+  else None
+
 let create ?check ?obs ~sim ~config () =
   let check = match check with Some c -> c | None -> Sim.check sim in
   let obs = match obs with Some o -> o | None -> Sim.obs sim in
@@ -63,16 +75,8 @@ let create ?check ?obs ~sim ~config () =
     sim;
     config;
     tracker = Flow_tracker.create ~obs ~config ~now ();
-    admission =
-      Option.map
-        (fun a -> Admission.create ~config:a ~now)
-        config.Taq_config.admission;
-    guard =
-      Option.map
-        (fun g ->
-          Overload.create ~check ~obs ~guard:g
-            ~cap:config.Taq_config.max_tracked_flows ~now ())
-        config.Taq_config.guard;
+    admission = make_admission config ~now;
+    guard = make_guard ~check ~obs config ~now;
     queues = Taq_queues.create ~config ~now;
     last_tick = now ();
     n_enqueued = 0;
@@ -96,19 +100,11 @@ let create ?check ?obs ~sim ~config () =
 let restart t =
   let now () = Sim.now t.sim in
   t.tracker <- Flow_tracker.create ~obs:t.obs ~config:t.config ~now ();
-  t.admission <-
-    Option.map
-      (fun a -> Admission.create ~config:a ~now)
-      t.config.Taq_config.admission;
+  t.admission <- make_admission t.config ~now;
   (* The guard is control-plane state too: a rebooted box starts in
      Normal mode, and its cap-eviction baseline restarts with the
      fresh tracker. *)
-  t.guard <-
-    Option.map
-      (fun g ->
-        Overload.create ~check:t.check ~obs:t.obs ~guard:g
-          ~cap:t.config.Taq_config.max_tracked_flows ~now ())
-      t.config.Taq_config.guard;
+  t.guard <- make_guard ~check:t.check ~obs:t.obs t.config ~now;
   Hashtbl.reset t.chk_pools;
   (* The box forgot every flow: class transitions restart from scratch
      too, mirroring the control-plane state loss. *)

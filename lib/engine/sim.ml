@@ -265,4 +265,3 @@ let run ?until t =
   | Some s when s > t.clock.(0) -> t.clock.(0) <- s
   | Some _ | None -> ()
 
-let pending_events t = Event_heap.size t.calendar

@@ -91,6 +91,3 @@ val run : ?until:float -> t -> unit
 val step : t -> bool
 (** Execute exactly the next event; [false] if none remained. *)
 
-val pending_events : t -> int
-(** Number of scheduled (possibly cancelled) events — for tests and
-    leak hunting. *)

@@ -83,11 +83,8 @@ let run_pthresh_sweep ?(thresholds = [ 0.02; 0.05; 0.1; 0.2; 0.4 ]) p =
       in
       let config =
         {
-          (Common.taq_config ~admission:true ~capacity_bps:p.capacity_bps
-             ~buffer_pkts ())
-          with
-          Taq_config.admission =
-            Some { Taq_config.default_admission with Taq_config.pthresh };
+          (Common.taq_config ~capacity_bps:p.capacity_bps ~buffer_pkts ()) with
+          Taq_config.admission = Some pthresh;
         }
       in
       let env =

@@ -28,20 +28,9 @@ val disc_names : string list
 val workload_names : string list
 (** ["longmix"; "mice"]. *)
 
-val tcp_names : string list
-(** {!Taq_tcp.Tcp_config.profile_names}: newreno, sack, cubic. *)
-
-val fault_names : string list
-(** The fault axis vocabulary: none, flap, flood, brownout, jitter —
-    each a named, fixed quick-scale fault plan (onset t=8, cleared
-    with most of the horizon left so recovery is measurable). *)
-
 val default_fault_axis : string list
 (** [["none"; "flap"; "flood"]] — the axis [sweep --matrix] runs by
     default; the golden matrix crosses every cell with these. *)
-
-val plan_of_fault : string -> (Taq_fault.Plan.t, string) result
-(** The fixed plan behind a fault-axis name (empty for ["none"]). *)
 
 val validate :
   ?fault:string ->

@@ -49,16 +49,14 @@ type fault =
   | Restart of { at : float }
   | Loss of { p : float }
   | Flood of { at : float; dur : float; rate : float; kind : string }
-      (** [kind] is one of {!flood_kinds}; the parser guarantees it *)
+      (** [kind] is one of ["syn"], ["data"] or ["pool"]; the parser
+          guarantees it *)
   | Brownout of { at : float; dur : float; frac : float }
       (** link rate degraded to [frac] of nominal ([frac] in (0,1)) *)
   | Jitter of { at : float; dur : float; ms : float }
       (** seeded extra per-packet forward delay, uniform in [0, ms] *)
 
 type t = fault list
-
-val flood_kinds : string list
-(** [["syn"; "data"; "pool"]]. *)
 
 val of_string : string -> (t, string) result
 (** Parse the grammar above. The empty string is the empty (no-op)

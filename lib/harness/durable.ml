@@ -72,9 +72,8 @@ let of_pool (r : 'a Pool.result) =
   }
 
 let run ?jobs ?timeout_s ?retries ?cache ?journal ?(resume = false) ?on_done
-    ?(transient = []) codec tasks =
-  Task.ensure_distinct (tasks @ transient);
-  let durable key = not (List.exists (fun t -> Task.key t = key) transient) in
+    codec tasks =
+  Task.ensure_distinct tasks;
   (* Every task's result, keyed: restored and hit ones first, executed
      ones once the pool returns. *)
   let results = Hashtbl.create 64 in
@@ -120,14 +119,14 @@ let run ?jobs ?timeout_s ?retries ?cache ?journal ?(resume = false) ?on_done
   in
   let on_start key =
     match journal with
-    | Some j when durable key -> Journal.append j (Journal.Start key)
-    | Some _ | None -> ()
+    | Some j -> Journal.append j (Journal.Start key)
+    | None -> ()
   in
   (* Persist as each task finishes, not after the pool drains: a kill
      one task later loses nothing already completed. *)
   let on_done ~completed ~total (r : 'a Pool.result) =
     (match (r.Pool.value, cache) with
-    | Ok v, Some cache when durable r.Pool.key ->
+    | Ok v, Some cache ->
         persist cache journal codec r.Pool.key v r.Pool.obs
     | _ -> ());
     Option.iter (fun f -> f ~completed ~total r) on_done
@@ -138,7 +137,7 @@ let run ?jobs ?timeout_s ?retries ?cache ?journal ?(resume = false) ?on_done
   Fun.protect
     ~finally:(fun () -> Option.iter Journal.close journal)
     (fun () ->
-      Pool.run ?jobs ?timeout_s ?retries ~on_start ~on_done (todo @ transient))
+      Pool.run ?jobs ?timeout_s ?retries ~on_start ~on_done todo)
   |> List.iter (fun (r : 'a Pool.result) ->
          Hashtbl.replace results r.Pool.key (of_pool r));
-  List.map (fun t -> Hashtbl.find results (Task.key t)) (tasks @ transient)
+  List.map (fun t -> Hashtbl.find results (Task.key t)) tasks

@@ -57,17 +57,14 @@ val run :
   ?journal:string ->
   ?resume:bool ->
   ?on_done:(completed:int -> total:int -> 'a Pool.result -> unit) ->
-  ?transient:'a Task.t list ->
   'a codec ->
   'a Task.t list ->
   'a result list
-(** Results for [tasks @ transient], in that order.
+(** Results for [tasks], in that order.
 
     Without [cache] every task executes and nothing is probed, stored
     or journaled. [journal] (a path) is truncated unless [resume]
-    (default [false]), which replays it first and appends. [transient]
-    tasks share the pool but are never probed, stored or journaled.
-    [on_done] is the pool's progress hook, called after persisting.
+    (default [false]), which replays it first and appends. [on_done] is the pool's progress hook, called after persisting.
 
     @raise Invalid_argument
       if two tasks share a key, before anything is opened or run. *)

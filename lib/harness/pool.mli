@@ -97,15 +97,12 @@ val reset_cancel : unit -> unit
 val install_signal_cancellation : ?label:string -> unit -> unit
 (** Route SIGINT/SIGTERM to cooperative cancellation: the first signal
     sets the cancel flag and prints a note mentioning [label]; a
-    second signal exits immediately with {!forced_exit_code}. Call
+    second signal exits immediately with code 131. Call
     once from the main domain before running pools. *)
 
 val cancelled_exit_code : int
 (** 130 — the conventional exit code a cancelled run should exit with
     after printing its partial report. *)
-
-val forced_exit_code : int
-(** 131 — the exit code of a double-signal forced quit. *)
 
 val cancelled : 'a result -> bool
 (** The task was skipped by cooperative cancellation (never executed). *)

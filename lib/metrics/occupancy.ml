@@ -45,4 +45,3 @@ let distribution t =
   else
     Array.map (fun c -> float_of_int c /. float_of_int t.observations) t.counts
 
-let raw_counts t = Array.copy t.counts

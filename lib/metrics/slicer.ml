@@ -29,8 +29,6 @@ let record t ~flow ~time ~bytes =
   let tot = try Itbl.find t.totals flow with Not_found -> 0 in
   Itbl.replace t.totals flow (tot + bytes)
 
-let slice_length t = t.slice
-
 let slice_count t = t.max_slice + 1
 
 let bytes_in_slice t ~slice ~flow =

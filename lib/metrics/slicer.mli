@@ -12,8 +12,6 @@ val create : slice:float -> t
 val record : t -> flow:int -> time:float -> bytes:int -> unit
 (** Attribute [bytes] of goodput to [flow] at [time]. *)
 
-val slice_length : t -> float
-
 val slice_count : t -> int
 (** Highest slice index recorded + 1. *)
 

@@ -40,10 +40,3 @@ val hitting_times : t -> targets:int list -> float array
     Raises [Invalid_argument] if [targets] is empty or some state
     cannot reach a target (singular system). *)
 
-val expected_hits :
-  t -> start:int -> absorbing:int list -> horizon:int -> float array
-(** Expected visit counts per state over [horizon] steps starting from
-    [start], treating [absorbing] states as sinks — used for transient
-    (first-episode) analysis. *)
-
-val pp_distribution : t -> Format.formatter -> float array -> unit

@@ -105,7 +105,3 @@ let kind_to_string = function
   | Ack -> "ACK"
   | Fin -> "FIN"
 
-let pp ppf p =
-  Format.fprintf ppf "[%s flow=%d seq=%d size=%d%s]" (kind_to_string p.kind)
-    p.flow p.seq p.size
-    (if p.retx then " retx" else "")

@@ -98,6 +98,4 @@ val free_count : alloc -> int
 (** Number of records parked in the free list — tests and leak
     accounting. *)
 
-val pp : Format.formatter -> t -> unit
-
 val kind_to_string : kind -> string

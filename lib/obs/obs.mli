@@ -39,7 +39,6 @@ type counter =
 type gauge = Heap_max_depth
 
 val counter_name : counter -> string
-val gauge_name : gauge -> string
 
 (** {1 Instances} *)
 
@@ -108,8 +107,6 @@ val counter_value : snapshot -> string -> int
 (** 0 when absent. *)
 
 val gauge_value : snapshot -> string -> int
-val counters_to_json : snapshot -> Json.t
-val gauges_to_json : snapshot -> Json.t
 
 val snapshot_to_string : snapshot -> string
 (** Compact JSON wire form of a snapshot's counters and gauges — the

@@ -21,4 +21,3 @@ val srtt : t -> float
 
 val rttvar : t -> float
 
-val has_sample : t -> bool

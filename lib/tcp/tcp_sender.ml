@@ -67,7 +67,6 @@ type t = {
   mutable n_syn_sent : int;
   mutable max_backoff_seen : int;
   mutable transmit_listeners : (Packet.t -> unit) list;
-  mutable timeout_listeners : (float -> unit) list;
   mutable progress_listeners : (int -> unit) list;
   check : Check.t;
 }
@@ -134,25 +133,17 @@ let state t = t.state
 
 let cwnd t = t.w.cwnd
 
-let ssthresh t = t.w.ssthresh
-
 let snd_una t = t.snd_una
 
 let next_seq t = t.next_seq
 
-let in_recovery t = t.in_recovery
-
 let backoff t = t.backoff
-
-let rto_estimator t = t.rto
 
 let outstanding t = t.next_seq - t.snd_una
 
 let flow_id t = t.flow
 
 let on_transmit t f = t.transmit_listeners <- f :: t.transmit_listeners
-
-let on_timeout_event t f = t.timeout_listeners <- f :: t.timeout_listeners
 
 let on_progress t f = t.progress_listeners <- f :: t.progress_listeners
 
@@ -245,8 +236,6 @@ let rec on_rtx_timeout t =
   if t.state = Established && t.snd_una < t.next_seq then begin
     t.rtx_timer <- Sim.none;
     t.n_timeouts <- t.n_timeouts + 1;
-    let now = Sim.now t.sim in
-    notify_all t.timeout_listeners now;
     let flight = Scoreboard.pipe t.sb + Scoreboard.lost_count t.sb in
     note_window_reduction t;
     t.w.ssthresh <- Float.max 2.0 (float_of_int flight *. decrease_factor t);
@@ -337,7 +326,6 @@ let create ?check ~sim ~config ~alloc ~flow ?(pool = -1) ~total_segments
       n_syn_sent = 0;
       max_backoff_seen = 1;
       transmit_listeners = [];
-      timeout_listeners = [];
       progress_listeners = [];
       check;
     }

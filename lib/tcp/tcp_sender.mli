@@ -74,27 +74,18 @@ val stats : t -> stats
 
 val cwnd : t -> float
 
-val ssthresh : t -> float
-
 val snd_una : t -> int
 
 val next_seq : t -> int
 
-val in_recovery : t -> bool
-
 val backoff : t -> int
 (** Current RTO backoff multiplier (1 = no backoff). *)
-
-val rto_estimator : t -> Rto.t
 
 val outstanding : t -> int
 (** Unacknowledged segments ([next_seq - snd_una]). *)
 
 val on_transmit : t -> (Taq_net.Packet.t -> unit) -> unit
 (** Listener for every packet this sender puts on the wire. *)
-
-val on_timeout_event : t -> (float -> unit) -> unit
-(** Listener for RTO firings (argument: simulation time). *)
 
 val on_progress : t -> (int -> unit) -> unit
 (** Listener for cumulative-ack advances (argument: new snd_una) —

@@ -47,8 +47,6 @@ type summary = {
 val summarize : float array -> summary
 (** Raises [Invalid_argument] on empty input. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val log_bucket : base:float -> first:float -> float -> int
 (** [log_bucket ~base ~first x] is the index of the logarithmic bucket
     containing [x]: bucket [i] covers [first·base^i .. first·base^(i+1)).

@@ -192,7 +192,7 @@ let tick t =
   Hashtbl.iter
     (fun id f ->
       catch_up t f;
-      if now -. f.last_seen > t.config.Taq_config.flow_idle_timeout then
+      if now -. f.last_seen > Flow_tracker.flow_idle_timeout then
         expired := id :: !expired)
     t.flows;
   List.iter (Hashtbl.remove t.flows) !expired;
@@ -212,7 +212,7 @@ let epoch_len t ~flow =
     ~default:
       (match t.config.Taq_config.epoch_source with
       | Taq_config.Oracle rtt -> rtt
-      | Taq_config.Estimated { default_epoch; _ } -> default_epoch)
+      | Taq_config.Estimated -> Epoch_estimator.default_epoch)
     (fun f -> Epoch_estimator.epoch f.est)
 
 let epochs_observed t ~flow = with_flow t ~flow ~default:0 (fun f -> f.epochs_observed)

@@ -411,19 +411,17 @@ let test_chaos_sweep_still_correct () =
       Cache.store cache ~key:(hash "p1") (value_of "p1");
       clobber (entry_path cache ~key:(hash "p1")) (fun raw -> "XX" ^ raw);
       let results =
-        Durable.run ~jobs:4 ~timeout_s:0.3 ~retries:1 ~cache
-          ~transient:
-            [
+        Durable.run ~jobs:4 ~timeout_s:0.3 ~retries:1 ~cache Durable.identity
+          (List.map
+             (fun key -> Task.make ~key (fun ~seed:_ -> value_of key))
+             healthy
+          @ [
               Task.make ~key:"chaos/crash" (fun ~seed:_ ->
                   failwith "chaos crash");
               Task.make ~key:"chaos/hang" (fun ~seed:_ ->
                   Unix.sleepf 3.0;
                   "unreachable");
-            ]
-          Durable.identity
-          (List.map
-             (fun key -> Task.make ~key (fun ~seed:_ -> value_of key))
-             healthy)
+            ])
       in
       let result key = List.find (fun r -> r.Durable.key = key) results in
       Alcotest.(check bool)

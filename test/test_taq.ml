@@ -114,12 +114,8 @@ let test_fs_total_over_all_states () =
 
 (* --- Epoch_estimator -------------------------------------------------------- *)
 
-let est_config =
-  Taq_config.Estimated
-    { default_epoch = 0.2; min_epoch = 0.02; max_epoch = 5.0; alpha = 0.5 }
-
 let test_epoch_default_before_evidence () =
-  let e = Epoch_estimator.create est_config in
+  let e = Epoch_estimator.create Taq_config.Estimated in
   Alcotest.(check (float 1e-9)) "default" 0.2 (Epoch_estimator.epoch e)
 
 let test_epoch_oracle () =
@@ -128,13 +124,13 @@ let test_epoch_oracle () =
   Alcotest.(check (float 1e-9)) "oracle fixed" 0.35 (Epoch_estimator.epoch e)
 
 let test_epoch_syn_data_gap () =
-  let e = Epoch_estimator.create est_config in
+  let e = Epoch_estimator.create Taq_config.Estimated in
   Epoch_estimator.note_syn e ~time:0.0;
   Epoch_estimator.note_packet e ~time:0.3;
   Alcotest.(check (float 1e-9)) "initial from syn gap" 0.3 (Epoch_estimator.epoch e)
 
 let test_epoch_burst_detection () =
-  let e = Epoch_estimator.create est_config in
+  let e = Epoch_estimator.create Taq_config.Estimated in
   Epoch_estimator.note_syn e ~time:0.0;
   (* Bursts every 0.4 s: the estimate converges toward 0.4. *)
   let t = ref 0.4 in
@@ -151,10 +147,14 @@ let test_epoch_burst_detection () =
     (est > 0.3 && est < 0.5)
 
 let test_epoch_clamped () =
-  let e = Epoch_estimator.create est_config in
+  let e = Epoch_estimator.create Taq_config.Estimated in
   Epoch_estimator.note_syn e ~time:0.0;
   Epoch_estimator.note_packet e ~time:100.0;
-  Alcotest.(check (float 1e-9)) "clamped at max" 5.0 (Epoch_estimator.epoch e)
+  Alcotest.(check (float 1e-9)) "clamped at max" 1.0 (Epoch_estimator.epoch e);
+  let e = Epoch_estimator.create Taq_config.Estimated in
+  Epoch_estimator.note_syn e ~time:0.0;
+  Epoch_estimator.note_packet e ~time:0.001;
+  Alcotest.(check (float 1e-9)) "clamped at min" 0.02 (Epoch_estimator.epoch e)
 
 (* --- Flow_tracker ------------------------------------------------------------ *)
 
@@ -274,16 +274,15 @@ let test_tracker_rate_and_fair_share () =
 let test_tracker_shrinking_epoch_expires_earlier () =
   (* An epoch estimate that shrinks between packets pulls the flow's
      expiry earlier than the deadline armed at the previous packet: the
-     SYN->data gap sets a 1 s epoch (window 5 s from t=1), then a burst
-     spacing of 0.55 s revises it to 0.775 s (window 3.875 s from
-     t=1.55, so expiry before t=5.5). The count read at t=1.2 re-arms
-     the flow's deadline at t=6, which the second packet must pull
-     forward. *)
+     SYN->data gap sets a 1 s epoch (window 5 s from t=1, deadline
+     t=6), then a burst spacing of 0.55 s revises it to 0.8875 s
+     (window 4.4375 s from t=1.55, so expiry before t=5.99), which the
+     second packet must pull forward. *)
   let clock = ref 0.0 in
   let config =
     {
       (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
-      Taq_config.epoch_source = est_config;
+      Taq_config.epoch_source = Taq_config.Estimated;
     }
   in
   let now () = !clock in
@@ -301,10 +300,10 @@ let test_tracker_shrinking_epoch_expires_earlier () =
   clock := 1.2;
   Alcotest.(check int) "active at t=1.2" 1 (Flow_tracker.active_flow_count t);
   data ~seq:1 1.55;
-  Alcotest.(check (float 1e-12)) "epoch revised down" 0.775
+  Alcotest.(check (float 1e-12)) "epoch revised down" 0.8875
     (Flow_tracker.epoch_len t ~flow:1);
-  clock := 5.5;
-  Alcotest.(check int) "reference: idle by t=5.5" 0
+  clock := 5.99;
+  Alcotest.(check int) "reference: idle by t=5.99" 0
     (Flow_tracker_ref.active_flow_count r);
   Alcotest.(check int) "tracker agrees" 0 (Flow_tracker.active_flow_count t)
 
@@ -414,8 +413,7 @@ let test_queues_accounting () =
 let admission_fixture () =
   let clock = ref 0.0 in
   let a =
-    Admission.create ~config:Taq_config.default_admission
-      ~now:(fun () -> !clock)
+    Admission.create ~pthresh:0.1 ~now:(fun () -> !clock)
   in
   (a, clock)
 
@@ -456,7 +454,7 @@ let test_admission_t_wait_guarantee () =
   done;
   Alcotest.(check bool) "rejected initially" true
     (Admission.on_syn a ~key:9 = Admission.Rejected);
-  clock := !clock +. Taq_config.default_admission.Taq_config.t_wait +. 0.1;
+  clock := !clock +. Admission.t_wait +. 0.1;
   Alcotest.(check bool) "admitted after t_wait" true
     (Admission.on_syn a ~key:9 = Admission.Admitted)
 
@@ -484,14 +482,14 @@ let test_admission_feedback_queue_positions () =
       Alcotest.(check int) "first in line" 1 f.Admission.position;
       Alcotest.(check bool) "bounded wait" true
         (f.Admission.expected_wait
-        <= Taq_config.default_admission.Taq_config.t_wait +. 1e-9)
+        <= Admission.t_wait +. 1e-9)
   | None -> Alcotest.fail "expected feedback for pool 1");
   (match Admission.feedback a ~key:2 with
   | Some f ->
       Alcotest.(check int) "second in line" 2 f.Admission.position;
       Alcotest.(check bool) "waits one more slot" true
         (f.Admission.expected_wait
-        > Taq_config.default_admission.Taq_config.t_wait -. 1e-9)
+        > Admission.t_wait -. 1e-9)
   | None -> Alcotest.fail "expected feedback for pool 2")
 
 let test_admission_feedback_cleared_on_admit () =
@@ -501,7 +499,7 @@ let test_admission_feedback_cleared_on_admit () =
     Admission.note_drop a
   done;
   ignore (Admission.on_syn a ~key:5);
-  clock := !clock +. Taq_config.default_admission.Taq_config.t_wait +. 0.1;
+  clock := !clock +. Admission.t_wait +. 0.1;
   Alcotest.(check bool) "admitted on retry" true
     (Admission.on_syn a ~key:5 = Admission.Admitted);
   Alcotest.(check bool) "no feedback once admitted" true
@@ -518,7 +516,7 @@ let test_admission_waiting_expiry () =
   ignore (Admission.on_syn a ~key:1);
   ignore (Admission.on_syn a ~key:2);
   Alcotest.(check int) "two waiting" 2 (Admission.waiting_count a);
-  clock := !clock +. Taq_config.default_admission.Taq_config.pool_expiry +. 1.0;
+  clock := !clock +. Admission.pool_expiry +. 1.0;
   Admission.expire a;
   Alcotest.(check int) "waiting pruned" 0 (Admission.waiting_count a);
   Alcotest.(check bool) "Twait FIFO pruned too" true
@@ -598,20 +596,11 @@ let test_tracker_counts_into_given_obs () =
 
 (* --- Overload guard ----------------------------------------------------------------- *)
 
+(* The guard's constants: trip_after 0.25 s, clear_after 1 s,
+   min_dwell 1 s, recovery_dwell 1 s, waiting_high 64. *)
 let guard_fixture ?(check = Check.off) ?(obs = Obs.off) ?(cap = 8) () =
   let clock = ref 0.0 in
-  let guard =
-    {
-      Taq_config.trip_after = 0.2;
-      clear_after = 0.5;
-      min_dwell = 1.0;
-      recovery_dwell = 1.0;
-      waiting_high = 4;
-    }
-  in
-  let g =
-    Overload.create ~check ~obs ~guard ~cap ~now:(fun () -> !clock) ()
-  in
+  let g = Overload.create ~check ~obs ~cap ~now:(fun () -> !clock) () in
   (g, clock)
 
 (* Step the fake clock in [dt] increments, feeding [evictions] fresh
@@ -647,9 +636,10 @@ let test_guard_full_arc_and_dwells () =
   drive g clock ~pressure:false ~until:0.3 ~dt:0.05;
   Alcotest.(check bool) "still degraded inside dwell" true
     (Overload.mode g = Overload.Degraded);
-  (* Trip happened at ~t=1.05 (dwell floor), so the exit opens at
-     ~t=2.05; stop at ~t=2.5, inside the recovery dwell. *)
-  drive g clock ~pressure:false ~until:0.7 ~dt:0.05;
+  (* Trip happened at ~t=1.05 (dwell floor) and calm began at t=1.55,
+     so the exit opens at ~t=2.55; stop at ~t=2.8, inside the recovery
+     dwell. *)
+  drive g clock ~pressure:false ~until:1.0 ~dt:0.05;
   Alcotest.(check bool) "recovering" true
     (Overload.mode g = Overload.Recovering);
   drive g clock ~pressure:false ~until:1.5 ~dt:0.05;
@@ -659,7 +649,7 @@ let test_guard_full_arc_and_dwells () =
 let test_guard_recovering_retrips () =
   let g, clock = guard_fixture () in
   drive g clock ~pressure:true ~until:1.5 ~dt:0.05;
-  (* Calm long enough to reach Recovering (~t=2.05) but not long
+  (* Calm long enough to reach Recovering (~t=2.55) but not long
      enough to complete the recovery dwell. *)
   drive g clock ~pressure:false ~until:1.3 ~dt:0.05;
   Alcotest.(check bool) "recovering" true
@@ -673,12 +663,18 @@ let test_guard_recovering_retrips () =
 
 let test_guard_waiting_backlog_is_pressure () =
   let g, clock = guard_fixture () in
-  let base = !clock in
-  while !clock -. base < 1.5 do
-    clock := !clock +. 0.05;
-    Overload.sample g ~tracked:1 ~cap_evictions:0 ~waiting:10
-  done;
-  Alcotest.(check bool) "admission backlog trips the guard" true
+  let backlog waiting ~until =
+    let base = !clock in
+    while !clock -. base < until do
+      clock := !clock +. 0.05;
+      Overload.sample g ~tracked:1 ~cap_evictions:0 ~waiting
+    done
+  in
+  backlog 63 ~until:1.5;
+  Alcotest.(check bool) "63 waiting pools are calm" true
+    (Overload.mode g = Overload.Normal);
+  backlog 64 ~until:0.5;
+  Alcotest.(check bool) "64 waiting pools trip the guard" true
     (Overload.mode g = Overload.Degraded)
 
 let test_guard_reports_to_given_check_and_obs () =
@@ -702,24 +698,9 @@ let test_config_guard_validation () =
   in
   Alcotest.(check bool) "cap < 1 rejected" true
     (raises (fun () -> Taq_config.with_guard ~max_tracked_flows:0 base));
-  Alcotest.(check bool) "negative dwell rejected" true
-    (raises (fun () ->
-         Taq_config.with_guard
-           ~guard:{ Taq_config.default_guard with Taq_config.min_dwell = -1.0 }
-           ~max_tracked_flows:16 base));
-  Alcotest.(check bool) "clear_after <= 0 rejected" true
-    (raises (fun () ->
-         Taq_config.with_guard
-           ~guard:{ Taq_config.default_guard with Taq_config.clear_after = 0.0 }
-           ~max_tracked_flows:16 base));
-  Alcotest.(check bool) "waiting_high < 1 rejected" true
-    (raises (fun () ->
-         Taq_config.with_guard
-           ~guard:{ Taq_config.default_guard with Taq_config.waiting_high = 0 }
-           ~max_tracked_flows:16 base));
   let ok = Taq_config.with_guard ~max_tracked_flows:16 base in
   Alcotest.(check int) "cap installed" 16 ok.Taq_config.max_tracked_flows;
-  Alcotest.(check bool) "guard installed" true (ok.Taq_config.guard <> None)
+  Alcotest.(check bool) "guard installed" true ok.Taq_config.guard
 
 (* --- Taq_disc (unit) ---------------------------------------------------------------- *)
 
@@ -1134,7 +1115,7 @@ let print_tracker_scenario s =
   Printf.sprintf "%s cap=%d [%s]"
     (match s.source with
     | Taq_config.Oracle e -> Printf.sprintf "oracle %g" e
-    | Taq_config.Estimated _ -> "estimated")
+    | Taq_config.Estimated -> "estimated")
     s.cap
     (String.concat " " (List.map print_tracker_op s.ops))
 
@@ -1152,12 +1133,18 @@ let gen_tracker_scenario =
           map
             (fun dt -> Op_advance dt)
             (oneof [ return 0.0; float_range 0.0 0.05; float_range 0.0 3.0 ]) );
+        (* Rare jumps past the idle timeout, so that [tick] expiry runs
+           in the differential too. *)
+        ( 1,
+          map
+            (fun dt -> Op_advance (Flow_tracker.flow_idle_timeout +. dt))
+            (float_range 0.0 5.0) );
         (3, map2 (fun f d -> Op_edge (f, d)) flow (int_range (-2) 1));
         (1, return Op_restart);
       ]
   in
   let source =
-    oneofl [ Taq_config.Oracle 0.05; Taq_config.Oracle 0.3; est_config ]
+    oneofl [ Taq_config.Oracle 0.05; Taq_config.Oracle 0.3; Taq_config.Estimated ]
   in
   map3
     (fun source cap ops -> { source; cap; ops })
@@ -1175,7 +1162,6 @@ let prop_tracker_matches_reference =
           (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
           Taq_config.epoch_source = s.source;
           max_tracked_flows = s.cap;
-          flow_idle_timeout = 4.0;
         }
       in
       let fresh () =
