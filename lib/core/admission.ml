@@ -8,14 +8,26 @@ let t_wait = 2.5
 let pool_expiry = 60.0
 let loss_alpha = 0.005
 
+module Event_heap = Taq_engine.Event_heap
+
+type pool = {
+  mutable last : float;
+      (* admitted: last active; waiting: first rejected *)
+  mutable armed : float;  (* key of the pool's armed expiry-heap entry *)
+}
+
 type t = {
   pthresh : float;
   now : unit -> float;
   loss : Taq_util.Ewma.t;
-  admitted : (int, float) Hashtbl.t;  (* pool -> last active *)
-  waiting : (int, float) Hashtbl.t;  (* pool -> first rejected *)
+  admitted : (int, pool) Hashtbl.t;
+  waiting : (int, pool) Hashtbl.t;
   mutable wait_order : int list;  (* FIFO of waiting pools (oldest first) *)
   mutable last_forced : float;  (* last Twait-guaranteed admission *)
+  expiries : Event_heap.t;
+      (* pool-key payloads keyed by a lower bound on when the pool
+         expires; entries of removed or re-armed pools go stale and are
+         skipped when they pop *)
 }
 
 let create ~pthresh ~now =
@@ -27,7 +39,44 @@ let create ~pthresh ~now =
     waiting = Hashtbl.create 64;
     wait_order = [];
     last_forced = neg_infinity;
+    expiries = Event_heap.create ();
   }
+
+(* --- Expiry ----------------------------------------------------------------
+
+   A pool expires once [now -. last > pool_expiry]. [last] only moves
+   forward, so each pool keeps one heap entry at a lower bound on that
+   instant ([last + pool_expiry] less a 1e-9-relative slack, far above
+   the rounding of the sum and the predicate's subtraction). [expire]
+   pops the due entries and re-reads the exact predicate: remove, or
+   re-arm at the bound for the current [last]. *)
+
+let expiry p =
+  p.last +. pool_expiry -. (1e-9 *. (Float.abs p.last +. pool_expiry))
+
+let arm t ~key p at =
+  p.armed <- at;
+  Event_heap.push t.expiries ~time:at key
+
+let track t tbl ~key ~now =
+  let p = { last = now; armed = 0.0 } in
+  Hashtbl.replace tbl key p;
+  arm t ~key p (expiry p)
+
+(* The entry [(at, key)] popped: true iff it removed the pool from
+   [tbl]. *)
+let expire_pool t tbl ~key ~at ~now =
+  match Hashtbl.find_opt tbl key with
+  | Some p when p.armed = at ->
+      if now -. p.last > pool_expiry then begin
+        Hashtbl.remove tbl key;
+        true
+      end
+      else begin
+        arm t ~key p (Float.max (expiry p) (Float.succ now));
+        false
+      end
+  | Some _ | None -> false
 
 let note_arrival t = Taq_util.Ewma.update t.loss 0.0
 
@@ -40,46 +89,49 @@ let loss_rate t =
 let admit t ~key =
   Hashtbl.remove t.waiting key;
   t.wait_order <- List.filter (fun k -> k <> key) t.wait_order;
-  Hashtbl.replace t.admitted key (t.now ())
+  track t t.admitted ~key ~now:(t.now ())
 
 let on_syn t ~key =
   let now = t.now () in
-  if Hashtbl.mem t.admitted key then begin
-    Hashtbl.replace t.admitted key now;
-    Admitted
-  end
-  else begin
-    let threshold = t.pthresh -. hysteresis in
-    if loss_rate t < threshold then begin
-      admit t ~key;
+  match Hashtbl.find_opt t.admitted key with
+  | Some p ->
+      p.last <- now;
       Admitted
-    end
-    else begin
-      (match Hashtbl.find_opt t.waiting key with
-      | Some _ -> ()
-      | None ->
-          Hashtbl.replace t.waiting key now;
-          t.wait_order <- t.wait_order @ [ key ]);
-      (* The Twait guarantee admits pools one at a time, oldest first:
-         blanket admission after Twait would restore the very
-         contention the controller exists to limit. *)
-      let head_is_us = match t.wait_order with k :: _ -> k = key | [] -> false in
-      let waited = now -. Hashtbl.find t.waiting key in
-      if
-        head_is_us
-        && waited >= t_wait
-        && now -. t.last_forced >= t_wait
-      then begin
-        t.last_forced <- now;
+  | None ->
+      let threshold = t.pthresh -. hysteresis in
+      if loss_rate t < threshold then begin
         admit t ~key;
         Admitted
       end
-      else Rejected
-    end
-  end
+      else begin
+        (match Hashtbl.find_opt t.waiting key with
+        | Some _ -> ()
+        | None ->
+            track t t.waiting ~key ~now;
+            t.wait_order <- t.wait_order @ [ key ]);
+        (* The Twait guarantee admits pools one at a time, oldest first:
+           blanket admission after Twait would restore the very
+           contention the controller exists to limit. *)
+        let head_is_us =
+          match t.wait_order with k :: _ -> k = key | [] -> false
+        in
+        let waited = now -. (Hashtbl.find t.waiting key).last in
+        if
+          head_is_us
+          && waited >= t_wait
+          && now -. t.last_forced >= t_wait
+        then begin
+          t.last_forced <- now;
+          admit t ~key;
+          Admitted
+        end
+        else Rejected
+      end
 
 let touch t ~key =
-  if Hashtbl.mem t.admitted key then Hashtbl.replace t.admitted key (t.now ())
+  match Hashtbl.find t.admitted key with
+  | p -> p.last <- t.now ()
+  | exception Not_found -> ()
 
 let admitted_count t = Hashtbl.length t.admitted
 
@@ -112,23 +164,20 @@ let shed_waiting t =
   Hashtbl.reset t.waiting;
   t.wait_order <- []
 
+(* Waiting pools whose client never retries its SYN would otherwise sit
+   in [waiting]/[wait_order] forever — unbounded state, and an eternal
+   head-of-line blocker for the Twait guarantee (which only
+   force-admits the oldest waiter). They expire by first-rejection
+   time. *)
 let expire t =
   let now = t.now () in
-  let stale = ref [] in
-  Hashtbl.iter
-    (fun key last -> if now -. last > pool_expiry then stale := key :: !stale)
-    t.admitted;
-  List.iter (Hashtbl.remove t.admitted) !stale;
-  (* Waiting pools whose client never retries its SYN would otherwise
-     sit in [waiting]/[wait_order] forever — unbounded state, and an
-     eternal head-of-line blocker for the Twait guarantee (which only
-     force-admits the oldest waiter). Prune by first-rejection time. *)
-  let stale_waiting = ref [] in
-  Hashtbl.iter
-    (fun key first ->
-      if now -. first > pool_expiry then stale_waiting := key :: !stale_waiting)
-    t.waiting;
-  if !stale_waiting <> [] then begin
-    List.iter (Hashtbl.remove t.waiting) !stale_waiting;
+  let h = t.expiries in
+  let pruned_waiting = ref false in
+  while (not (Event_heap.is_empty h)) && Event_heap.top_time h <= now do
+    let at = Event_heap.top_time h in
+    let key = Event_heap.pop_payload h in
+    ignore (expire_pool t t.admitted ~key ~at ~now : bool);
+    if expire_pool t t.waiting ~key ~at ~now then pruned_waiting := true
+  done;
+  if !pruned_waiting then
     t.wait_order <- List.filter (Hashtbl.mem t.waiting) t.wait_order
-  end

@@ -83,4 +83,13 @@ val expire : t -> unit
 (** Drop admitted pools idle longer than {!pool_expiry}, {e and}
     waiting pools first rejected that long ago (a client that never
     retries its SYN would otherwise occupy [waiting] and the Twait
-    FIFO forever). Bounds both tables. *)
+    FIFO forever). Bounds both tables.
+
+    Does not scan them: each pool keeps one entry in a heap of
+    deadlines, armed when it is admitted or first starts waiting and
+    keyed by a lower bound on its expiry (last activity, or first
+    rejection, plus {!pool_expiry}). [expire] pops the due entries and
+    re-reads the exact predicate: an expired pool is removed, a pool
+    active since its entry was armed re-arms at its current bound.
+    Costs O(log n) per due entry. The retained scanning controller in
+    [test/admission_ref.ml] is the differential-testing reference. *)

@@ -26,6 +26,10 @@ type flow = {
   mutable deadline : float;
       (* key of the flow's one armed deadline-heap entry; meaningful
          only while [active] *)
+  mutable idle_key : float;  (* key of the flow's armed idle-heap entry *)
+  mutable synced : int;
+      (* absolute tick-log index of the first tick whose catch-up the
+         flow has not replayed yet; see [sync] *)
 }
 
 type t = {
@@ -37,6 +41,16 @@ type t = {
          inactive; entries of forgotten or re-armed flows go stale and
          are skipped when they pop *)
   mutable n_active : int;
+  idle : Event_heap.t;
+      (* flow-id payloads keyed by a lower bound on when the flow
+         exceeds [flow_idle_timeout]; stale entries as in [deadlines] *)
+  mutable ticks : float array;
+      (* the tick log: instants of past ticks, live in positions
+         [ticks_lo, ticks_hi); position [p] is absolute index
+         [ticks_base + p] *)
+  mutable ticks_base : int;
+  mutable ticks_lo : int;
+  mutable ticks_hi : int;
   mutable cap_evictions : int;
   mutable peak_tracked : int;
   (* Pre-resolved observability counters (dummy refs when obs is off,
@@ -53,6 +67,11 @@ let create ~obs ~config ~now () =
     flows = Hashtbl.create 256;
     deadlines = Event_heap.create ();
     n_active = 0;
+    idle = Event_heap.create ();
+    ticks = Array.make 64 0.0;
+    ticks_base = 0;
+    ticks_lo = 0;
+    ticks_hi = 0;
     cap_evictions = 0;
     peak_tracked = 0;
     obs_flows_created = Taq_obs.Obs.labeled_ref obs "tracker.flows_created";
@@ -77,12 +96,13 @@ let window f = Float.max 1.0 (5.0 *. Epoch_estimator.epoch f.est)
 
 let is_active_at ~now f = now -. f.last_seen <= window f
 
-(* [last_seen + window] less a slack of 1e-9 relative — far above the
-   rounding of both this sum and the predicate's subtraction, so the
-   predicate holds at every instant before the key. *)
-let deadline f =
-  let w = window f in
-  f.last_seen +. w -. (1e-9 *. (Float.abs f.last_seen +. w))
+(* [last_seen + span] less a slack of 1e-9 relative — far above the
+   rounding of both this sum and the predicates' subtraction, so
+   [now -. last_seen <= span] holds at every instant before the key. *)
+let bound f span =
+  f.last_seen +. span -. (1e-9 *. (Float.abs f.last_seen +. span))
+
+let deadline f = bound f (window f)
 
 let arm t f key =
   f.deadline <- key;
@@ -119,11 +139,43 @@ let expire t =
     | Some _ | None -> ()
   done
 
-(* Drop the flow from the table and from the count; its armed entry
-   goes stale. *)
+(* Drop the flow from the table and from the count; its armed entries
+   go stale. *)
 let forget t f =
   set_active t f false;
   Hashtbl.remove t.flows f.id
+
+(* --- Idle expiry -----------------------------------------------------------
+
+   A flow is forgotten at the first tick with
+   [now -. last_seen > flow_idle_timeout]. As with the active window,
+   the predicate changes only when the flow is observed, so each flow
+   keeps one idle-heap entry keyed by a lower bound on that instant
+   (the same 1e-9-relative slack). A tick pops the due entries and
+   re-reads the exact predicate: forget, or re-arm at the bound for the
+   current [last_seen] (an observation since arming moved it later). *)
+
+let idle_deadline f = bound f flow_idle_timeout
+
+let arm_idle t f key =
+  f.idle_key <- key;
+  Event_heap.push t.idle ~time:key f.id
+
+let forget_idle t ~now =
+  let h = t.idle in
+  let expired = ref 0 in
+  while (not (Event_heap.is_empty h)) && Event_heap.top_time h <= now do
+    let key = Event_heap.top_time h in
+    match Hashtbl.find_opt t.flows (Event_heap.pop_payload h) with
+    | Some f when f.idle_key = key ->
+        if now -. f.last_seen > flow_idle_timeout then begin
+          forget t f;
+          incr expired
+        end
+        else arm_idle t f (Float.max (idle_deadline f) (Float.succ now))
+    | Some _ | None -> ()
+  done;
+  if !expired > 0 then t.obs_evictions := !(t.obs_evictions) + !expired
 
 let new_flow t ~id =
   {
@@ -145,6 +197,8 @@ let new_flow t ~id =
     last_seen = t.now ();
     active = false;
     deadline = 0.0;
+    idle_key = 0.0;
+    synced = t.ticks_base + t.ticks_hi;
   }
 
 (* The hard state bound: inserting into a full table evicts the
@@ -181,6 +235,7 @@ let lookup t ~flow =
         evict_lru t;
       let f = new_flow t ~id:flow in
       Hashtbl.replace t.flows flow f;
+      arm_idle t f (idle_deadline f);
       incr t.obs_flows_created;
       let n = Hashtbl.length t.flows in
       if n > t.peak_tracked then t.peak_tracked <- n;
@@ -214,8 +269,7 @@ let roll_one_epoch f ~epoch =
 (* Advance the flow's epoch boundary up to [now]; several epochs may
    have elapsed silently. Bounded per call so a flow returning after a
    very long idle period cannot stall the queue. *)
-let catch_up t f =
-  let now = t.now () in
+let catch_up f ~now =
   let budget = ref 64 in
   let continue = ref true in
   while !continue && !budget > 0 do
@@ -228,16 +282,76 @@ let catch_up t f =
   done;
   if !budget = 0 then f.epoch_start <- now
 
+(* --- Lazy epoch rolls ------------------------------------------------------
+
+   Every tick catches each flow up to the tick's instant, rolling the
+   epochs it spent silent. Those rolls depend only on [epoch_start],
+   the epoch length and the tick instants, and the epoch length changes
+   only in [observe_data], after a [sync]. So [tick] just logs its
+   instant, and [sync] replays a flow's unapplied ticks before anything
+   reads or writes its epoch state. A tick at instant [at] rolls the
+   flow iff [at -. epoch_start >= epoch], which is monotone in [at]:
+   the first tick that rolls is found by binary search (ticks before
+   it were no-ops), [catch_up] runs at its instant with the same budget
+   and snap as the eager tick, and the search resumes after it. *)
+
+let sync t f =
+  let hi = t.ticks_hi in
+  if f.synced < t.ticks_base + hi then begin
+    let ticks = t.ticks in
+    let epoch = Epoch_estimator.epoch f.est in
+    let p = ref (f.synced - t.ticks_base) in
+    while !p < hi do
+      let lo = ref !p and up = ref hi in
+      while !lo < !up do
+        let mid = (!lo + !up) lsr 1 in
+        if ticks.(mid) -. f.epoch_start >= epoch then up := mid
+        else lo := mid + 1
+      done;
+      if !lo < hi then catch_up f ~now:ticks.(!lo);
+      p := !lo + 1
+    done;
+    f.synced <- t.ticks_base + hi
+  end
+
+(* Append [now] to the tick log after dropping the instants no live
+   flow still needs. Each flow is synced at every observation, so its
+   unapplied ticks are no older than its [last_seen]; once the due idle
+   flows are forgotten, every live flow has
+   [now -. last_seen <= flow_idle_timeout], hence needs no instant
+   older than that. *)
+let log_tick t ~now =
+  while
+    t.ticks_lo < t.ticks_hi
+    && now -. t.ticks.(t.ticks_lo) > flow_idle_timeout
+  do
+    t.ticks_lo <- t.ticks_lo + 1
+  done;
+  let cap = Array.length t.ticks in
+  if t.ticks_hi = cap then begin
+    let live = t.ticks_hi - t.ticks_lo in
+    let dst = if 2 * live > cap then Array.make (2 * cap) 0.0 else t.ticks in
+    Array.blit t.ticks t.ticks_lo dst 0 live;
+    t.ticks <- dst;
+    t.ticks_base <- t.ticks_base + t.ticks_lo;
+    t.ticks_lo <- 0;
+    t.ticks_hi <- live
+  end;
+  t.ticks.(t.ticks_hi) <- now;
+  t.ticks_hi <- t.ticks_hi + 1
+
 let observe_syn t ~flow =
   let f = lookup t ~flow in
+  sync t f;
   f.last_seen <- t.now ();
   Epoch_estimator.note_syn f.est ~time:(t.now ());
   touch t f
 
 let observe_data t (p : Packet.t) =
   let f = lookup t ~flow:p.flow in
-  catch_up t f;
+  sync t f;
   let now = t.now () in
+  catch_up f ~now;
   f.last_seen <- now;
   Epoch_estimator.note_packet f.est ~time:now;
   touch t f;
@@ -257,25 +371,21 @@ let observe_drop t (p : Packet.t) =
   match Hashtbl.find_opt t.flows p.flow with
   | None -> ()
   | Some f ->
+      sync t f;
       f.drops_this_epoch <- f.drops_this_epoch + 1;
       f.outstanding_drops <- f.outstanding_drops + 1
 
 let tick t =
   let now = t.now () in
-  let expired = ref [] in
-  Hashtbl.iter
-    (fun _ f ->
-      catch_up t f;
-      if now -. f.last_seen > flow_idle_timeout then
-        expired := f :: !expired)
-    t.flows;
-  List.iter (forget t) !expired;
-  (match !expired with
-  | [] -> ()
-  | l -> t.obs_evictions := !(t.obs_evictions) + List.length l)
+  forget_idle t ~now;
+  log_tick t ~now
 
 let with_flow t ~flow ~default f =
-  match Hashtbl.find_opt t.flows flow with None -> default | Some fl -> f fl
+  match Hashtbl.find_opt t.flows flow with
+  | None -> default
+  | Some fl ->
+      sync t fl;
+      f fl
 
 let state t ~flow = with_flow t ~flow ~default:Flow_state.initial (fun f -> f.state)
 

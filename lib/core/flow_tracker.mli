@@ -18,8 +18,24 @@
     that changes only when a flow is observed, goes idle or is
     forgotten, and going idle is found through a heap of deadlines
     keyed by a lower bound on each flow's expiry. The [now] clock must
-    not run backwards. The retained scanning tracker in
-    [test/flow_tracker_ref.ml] is the differential-testing reference. *)
+    not run backwards.
+
+    {b Lazy epoch rolls.} A silent flow's epochs still roll at every
+    {!tick}, but the rolls are replayed only when the flow is next
+    observed or read: {!tick} logs its instant, and every observer and
+    accessor first replays the logged ticks the flow has not yet
+    applied, each exactly as an eager tick would have at its instant
+    (same 64-epoch catch-up budget, same snap). A tick at which no
+    roll is due costs nothing; a replayed roll costs O(log ticks) for
+    a binary search of the log. The log keeps only the instants no
+    older than {!flow_idle_timeout} (older ones are applied to every
+    live flow), so with ticks at least
+    {!Taq_config.tick_interval} apart it holds about
+    [flow_idle_timeout / tick_interval + 1] instants (2401).
+
+    The retained scanning tracker in [test/flow_tracker_ref.ml], which
+    rescans for every count and rolls every flow at every tick, is the
+    differential-testing reference. *)
 
 type t
 
@@ -49,7 +65,12 @@ val tick : t -> unit
     state machine must advance through silent epochs even with no
     packets arriving) and forget flows idle beyond
     {!flow_idle_timeout}. Call periodically (the discipline schedules
-    this). *)
+    this). Costs O(log n) per flow forgotten or found still live at its
+    idle deadline, and amortized O(1) otherwise: the rolls are logged
+    and replayed lazily (above), and idle flows are found through a
+    heap of deadlines keyed by a lower bound on
+    [last_seen + flow_idle_timeout], re-checked against the exact
+    predicate when due. *)
 
 val state : t -> flow:int -> Flow_state.t
 (** Unknown flows report {!Flow_state.initial}. *)

@@ -1,9 +1,11 @@
 (* The original scanning flow tracker, retained verbatim as the
    reference implementation for the differential test battery: the
    production [Flow_tracker] keeps its active-flow count as an
-   aggregate maintained by a deadline heap, and must reproduce this
-   tracker's answers — which recompute it by walking the whole flow
-   table on every call — under arbitrary
+   aggregate maintained by a deadline heap, expires idle flows through
+   a second heap and replays silent-epoch rolls lazily, and must
+   reproduce this tracker's answers — which recompute the count by
+   walking the whole flow table on every call, and roll and expire
+   every flow at every [tick] — under arbitrary
    SYN/data/drop/tick/eviction interleavings. Not used on any
    production path. *)
 

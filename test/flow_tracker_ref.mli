@@ -3,7 +3,8 @@
 
     Same contract as the production tracker, with the original
     representation: [active_flow_count] walks the whole flow table on
-    every call. The test
+    every call, and [tick] walks it to roll every flow's silent epochs
+    and to expire idle flows. The test
     battery drives both lockstep under random interleavings and
     requires identical answers. Not used on production paths. *)
 

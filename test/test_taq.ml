@@ -1078,20 +1078,29 @@ let prop_taq_queue_class_lengths_sum =
 (* --- Flow_tracker vs the scanning reference ---------------------------------- *)
 
 (* The production tracker keeps its active counts as aggregates driven
-   by a deadline heap; the reference rescans the table on every query.
-   Both are driven lockstep through random interleavings and must agree
-   after every step. Time moves forward only (the tracker's contract),
-   in random steps and in jumps landing exactly on a flow's window edge,
-   one ulp either side of it, or just inside it — where the heap entry
-   is already due but the flow is still active. *)
+   by a deadline heap, forgets idle flows through a second heap, and
+   replays silent-epoch rolls lazily from a log of tick instants; the
+   reference rescans the table on every query and rolls every flow at
+   every tick. Both are driven lockstep through random interleavings.
+   The aggregates must agree after every step; per-flow state is read
+   only at [Op_check], so a flow can sit unread across many ticks, long
+   gaps (beyond the 64-epoch catch-up budget) and drops before its
+   deferred rolls are replayed. Time moves forward only (the tracker's
+   contract), in random steps and in jumps landing exactly on a flow's
+   window edge, one ulp either side of it, or just inside it — where
+   the heap entry is already due but the flow is still active. *)
 
 type tracker_op =
   | Op_syn of int
   | Op_data of int * bool  (* flow, retransmission *)
   | Op_drop of int
   | Op_tick
+  | Op_ticks of int  (* a burst of ticks [tick_interval] apart *)
   | Op_advance of float
   | Op_edge of int * int  (* flow; -2 just inside, -1/0/+1 ulp *)
+  | Op_idle_edge of int * int
+      (* jump to the flow's idle-timeout edge (as [Op_edge]) and tick *)
+  | Op_check of int  (* read every accessor of every flow; rotation *)
   | Op_restart
 
 type tracker_scenario = {
@@ -1107,8 +1116,11 @@ let print_tracker_op = function
   | Op_data (f, r) -> Printf.sprintf "data(%d%s)" f (if r then ",retx" else "")
   | Op_drop f -> Printf.sprintf "drop(%d)" f
   | Op_tick -> "tick"
+  | Op_ticks n -> Printf.sprintf "ticks(%d)" n
   | Op_advance dt -> Printf.sprintf "+%h" dt
   | Op_edge (f, d) -> Printf.sprintf "edge(%d,%d)" f d
+  | Op_idle_edge (f, d) -> Printf.sprintf "idle-edge(%d,%d)" f d
+  | Op_check r -> Printf.sprintf "check(%d)" r
   | Op_restart -> "restart"
 
 let print_tracker_scenario s =
@@ -1127,12 +1139,17 @@ let gen_tracker_scenario =
       [
         (3, map (fun f -> Op_syn f) flow);
         (8, map2 (fun f r -> Op_data (f, r)) flow bool);
-        (2, map (fun f -> Op_drop f) flow);
+        (3, map (fun f -> Op_drop f) flow);
         (2, return Op_tick);
+        (2, map (fun n -> Op_ticks n) (int_range 2 40));
         ( 4,
           map
             (fun dt -> Op_advance dt)
             (oneof [ return 0.0; float_range 0.0 0.05; float_range 0.0 3.0 ]) );
+        (* Gaps longer than 64 epochs of every epoch source (64 x 0.05 s
+           up to 64 x the 1 s estimator cap), so that the catch-up
+           budget runs out and snaps. *)
+        (1, map (fun dt -> Op_advance dt) (float_range 3.3 70.0));
         (* Rare jumps past the idle timeout, so that [tick] expiry runs
            in the differential too. *)
         ( 1,
@@ -1140,6 +1157,8 @@ let gen_tracker_scenario =
             (fun dt -> Op_advance (Flow_tracker.flow_idle_timeout +. dt))
             (float_range 0.0 5.0) );
         (3, map2 (fun f d -> Op_edge (f, d)) flow (int_range (-2) 1));
+        (1, map2 (fun f d -> Op_idle_edge (f, d)) flow (int_range (-2) 1));
+        (2, map (fun r -> Op_check r) (int_range 0 1000));
         (1, return Op_restart);
       ]
   in
@@ -1150,6 +1169,45 @@ let gen_tracker_scenario =
     (fun source cap ops -> { source; cap; ops })
     source (int_range 2 6)
     (list_size (int_range 1 150) op)
+
+(* Every per-flow accessor, rendered so that floats compare bit for
+   bit. [Op_check] reads them in a rotated order, so each one is the
+   first read of some flow: an accessor that forgets to replay the
+   deferred rolls shows up even when another accessor would. *)
+let tracker_accessors =
+  let b = string_of_bool and i = string_of_int and h = Printf.sprintf "%h" in
+  [|
+    ( "state",
+      (fun t flow -> Flow_state.to_string (Flow_tracker.state t ~flow)),
+      fun r flow -> Flow_state.to_string (Flow_tracker_ref.state r ~flow) );
+    ( "silence epochs",
+      (fun t flow -> i (Flow_tracker.silence_epochs t ~flow)),
+      fun r flow -> i (Flow_tracker_ref.silence_epochs r ~flow) );
+    ( "epochs observed",
+      (fun t flow -> i (Flow_tracker.epochs_observed t ~flow)),
+      fun r flow -> i (Flow_tracker_ref.epochs_observed r ~flow) );
+    ( "rate",
+      (fun t flow -> h (Flow_tracker.rate_bps t ~flow)),
+      fun r flow -> h (Flow_tracker_ref.rate_bps r ~flow) );
+    ( "outstanding drops",
+      (fun t flow -> i (Flow_tracker.outstanding_drops t ~flow)),
+      fun r flow -> i (Flow_tracker_ref.outstanding_drops r ~flow) );
+    ( "recent drops",
+      (fun t flow -> i (Flow_tracker.recent_drops t ~flow)),
+      fun r flow -> i (Flow_tracker_ref.recent_drops r ~flow) );
+    ( "overpenalized",
+      (fun t flow -> b (Flow_tracker.is_overpenalized t ~flow)),
+      fun r flow -> b (Flow_tracker_ref.is_overpenalized r ~flow) );
+    ( "new flow",
+      (fun t flow -> b (Flow_tracker.is_new_flow t ~flow)),
+      fun r flow -> b (Flow_tracker_ref.is_new_flow r ~flow) );
+    ( "epoch length",
+      (fun t flow -> h (Flow_tracker.epoch_len t ~flow)),
+      fun r flow -> h (Flow_tracker_ref.epoch_len r ~flow) );
+    ( "below fair share",
+      (fun t flow -> b (Flow_tracker.below_fair_share t ~flow)),
+      fun r flow -> b (Flow_tracker_ref.below_fair_share r ~flow) );
+  |]
 
 let prop_tracker_matches_reference =
   QCheck.Test.make ~name:"flow tracker matches the scanning reference" ~count:300
@@ -1190,15 +1248,35 @@ let prop_tracker_matches_reference =
         ints "cap evictions" (Flow_tracker.cap_evictions t)
           (Flow_tracker_ref.cap_evictions r);
         floats "fair share" (Flow_tracker.fair_share_bps t)
-          (Flow_tracker_ref.fair_share_bps r);
+          (Flow_tracker_ref.fair_share_bps r)
+      in
+      let check_flows step rotation =
+        let t, r = !t in
+        let n = Array.length tracker_accessors in
         for flow = 0 to tracker_flows - 1 do
-          let what q = Printf.sprintf "%s flow %d" q flow in
-          let below = Flow_tracker.below_fair_share t ~flow
-          and below_ref = Flow_tracker_ref.below_fair_share r ~flow in
-          if below <> below_ref then
-            fail step (what "below fair share") (string_of_bool below)
-              (string_of_bool below_ref)
+          for k = 0 to n - 1 do
+            let name, get, get_ref = tracker_accessors.((rotation + flow + k) mod n) in
+            let a = get t flow and b = get_ref r flow in
+            if a <> b then fail step (Printf.sprintf "%s flow %d" name flow) a b
+          done
         done
+      in
+      (* Move the clock to [last_seen + width] of the flow, one ulp
+         either side of it, or just inside it; never backwards. *)
+      let jump_to_edge flow d width =
+        let ls = last_seen.(flow) in
+        if not (Float.is_nan ls) then begin
+          let w = width () in
+          let edge = ls +. w in
+          let target =
+            match d with
+            | -2 -> edge -. (5e-10 *. (Float.abs ls +. w))
+            | -1 -> Float.pred edge
+            | 0 -> edge
+            | _ -> Float.succ edge
+          in
+          if target >= !clock then clock := target
+        end
       in
       List.iteri
         (fun step op ->
@@ -1232,24 +1310,230 @@ let prop_tracker_matches_reference =
           | Op_tick ->
               Flow_tracker.tick tr;
               Flow_tracker_ref.tick r
+          | Op_ticks n ->
+              for _ = 1 to n do
+                clock := !clock +. Taq_config.tick_interval;
+                Flow_tracker.tick tr;
+                Flow_tracker_ref.tick r
+              done
           | Op_advance dt -> clock := !clock +. dt
           | Op_edge (flow, d) ->
-              let ls = last_seen.(flow) in
-              if not (Float.is_nan ls) then begin
-                let w = Float.max 1.0 (5.0 *. Flow_tracker.epoch_len tr ~flow) in
-                let edge = ls +. w in
+              (* The reference's epoch length: reading the tracker's
+                 would replay the flow's deferred rolls. *)
+              jump_to_edge flow d (fun () ->
+                  Float.max 1.0 (5.0 *. Flow_tracker_ref.epoch_len r ~flow))
+          | Op_idle_edge (flow, d) ->
+              jump_to_edge flow d (fun () -> Flow_tracker.flow_idle_timeout);
+              Flow_tracker.tick tr;
+              Flow_tracker_ref.tick r
+          | Op_check rotation -> check_flows step rotation
+          | Op_restart -> t := fresh ());
+          agree step)
+        s.ops;
+      true)
+
+(* A tick must cost what expires, not what is tracked: over a table of
+   silent flows, no tick may visit each flow (the eager tick read the
+   clock once per flow per tick). The deferred rolls still come out
+   exactly as the reference's eager ones. *)
+let test_tracker_tick_cost_independent_of_table () =
+  let clock = ref 0.0 and reads = ref 0 in
+  let now () =
+    incr reads;
+    !clock
+  in
+  let config =
+    {
+      (Taq_config.default ~capacity_pkts:50 ~capacity_bps:1e6) with
+      Taq_config.epoch_source = Taq_config.Oracle 0.2;
+    }
+  in
+  let t = Flow_tracker.create ~obs:Obs.off ~config ~now ()
+  and r = Flow_tracker_ref.create ~obs:Obs.off ~config ~now:(fun () -> !clock) () in
+  let flows = 1000 and ticks = 100 in
+  for flow = 1 to flows do
+    let p = mk_data ~flow ~seq:0 () in
+    ignore (Flow_tracker.observe_data t p);
+    ignore (Flow_tracker_ref.observe_data r p)
+  done;
+  reads := 0;
+  for _ = 1 to ticks do
+    clock := !clock +. Taq_config.tick_interval;
+    Flow_tracker.tick t;
+    Flow_tracker_ref.tick r
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d clock reads over %d ticks of %d flows" !reads ticks flows)
+    true
+    (!reads <= 2 * ticks);
+  Alcotest.(check int) "all still tracked" flows (Flow_tracker.tracked_flow_count t);
+  List.iter
+    (fun flow ->
+      Alcotest.(check int)
+        (Printf.sprintf "silence epochs of flow %d" flow)
+        (Flow_tracker_ref.silence_epochs r ~flow)
+        (Flow_tracker.silence_epochs t ~flow);
+      Alcotest.(check string)
+        (Printf.sprintf "state of flow %d" flow)
+        (Flow_state.to_string (Flow_tracker_ref.state r ~flow))
+        (Flow_state.to_string (Flow_tracker.state t ~flow)))
+    [ 1; 500; flows ]
+
+(* --- Admission vs the scanning reference ------------------------------------- *)
+
+(* The production controller expires pools through a deadline heap; the
+   reference walks both pool tables on every [expire]. Both are driven
+   lockstep through random SYN/touch/loss/expire/shed interleavings,
+   with clock jumps landing on a pool's [pool_expiry] edge, one ulp
+   either side of it, or just inside it, and must agree after every
+   step on every decision, both counts and every pool's feedback. *)
+
+type admission_op =
+  | Adm_syn of int
+  | Adm_touch of int
+  | Adm_arrivals of int
+  | Adm_drops of int
+  | Adm_expire
+  | Adm_shed
+  | Adm_advance of float
+  | Adm_edge of int * bool * int
+      (* pool; edge of its waiting (else admitted) stamp; -2 just
+         inside, -1/0/+1 ulp *)
+
+let admission_pools = 6
+
+(* Pool-less flows map to negative keys. *)
+let admission_key i = i - 2
+
+let print_admission_op = function
+  | Adm_syn k -> Printf.sprintf "syn(%d)" k
+  | Adm_touch k -> Printf.sprintf "touch(%d)" k
+  | Adm_arrivals n -> Printf.sprintf "arrivals(%d)" n
+  | Adm_drops n -> Printf.sprintf "drops(%d)" n
+  | Adm_expire -> "expire"
+  | Adm_shed -> "shed"
+  | Adm_advance dt -> Printf.sprintf "+%h" dt
+  | Adm_edge (k, w, d) ->
+      Printf.sprintf "edge(%d,%s,%d)" k (if w then "waiting" else "admitted") d
+
+let gen_admission_ops =
+  let open QCheck.Gen in
+  let pool = int_range 0 (admission_pools - 1) in
+  let op =
+    frequency
+      [
+        (6, map (fun k -> Adm_syn k) pool);
+        (4, map (fun k -> Adm_touch k) pool);
+        (2, map (fun n -> Adm_arrivals n) (int_range 1 40));
+        (2, map (fun n -> Adm_drops n) (int_range 1 40));
+        (3, return Adm_expire);
+        (1, return Adm_shed);
+        ( 4,
+          map
+            (fun dt -> Adm_advance dt)
+            (oneof
+               [
+                 return 0.0;
+                 float_range 0.0 1.0;
+                 float_range 0.0 (2.0 *. Admission.t_wait);
+                 float_range 0.0 (1.5 *. Admission.pool_expiry);
+               ]) );
+        (3, map3 (fun k w d -> Adm_edge (k, w, d)) pool bool (int_range (-2) 1));
+      ]
+  in
+  list_size (int_range 1 150) op
+
+let prop_admission_matches_reference =
+  QCheck.Test.make ~name:"admission matches the scanning reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map print_admission_op ops))
+       gen_admission_ops)
+    (fun ops ->
+      let clock = ref 0.0 in
+      let now () = !clock in
+      let a = Admission.create ~pthresh:0.1 ~now
+      and r = Admission_ref.create ~pthresh:0.1 ~now in
+      let admitted_at = Array.make admission_pools nan
+      and waiting_since = Array.make admission_pools nan in
+      let fail step what x y =
+        QCheck.Test.fail_reportf "step %d at t=%h: %s: admission %s, reference %s"
+          step !clock what x y
+      in
+      let feedback = function
+        | None -> "none"
+        | Some (f : Admission.feedback) ->
+            Printf.sprintf "%d/%h" f.Admission.position f.Admission.expected_wait
+      and feedback_ref = function
+        | None -> "none"
+        | Some (f : Admission_ref.feedback) ->
+            Printf.sprintf "%d/%h" f.Admission_ref.position
+              f.Admission_ref.expected_wait
+      in
+      let agree step =
+        let ints what x y =
+          if x <> y then fail step what (string_of_int x) (string_of_int y)
+        in
+        ints "admitted" (Admission.admitted_count a) (Admission_ref.admitted_count r);
+        ints "waiting" (Admission.waiting_count a) (Admission_ref.waiting_count r);
+        for i = 0 to admission_pools - 1 do
+          let key = admission_key i in
+          let x = feedback (Admission.feedback a ~key)
+          and y = feedback_ref (Admission_ref.feedback r ~key) in
+          if x <> y then fail step (Printf.sprintf "feedback %d" key) x y
+        done
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Adm_syn i ->
+              let key = admission_key i in
+              let was_waiting = Admission_ref.feedback r ~key <> None in
+              let d = Admission.on_syn a ~key = Admission.Admitted
+              and d_ref = Admission_ref.on_syn r ~key = Admission_ref.Admitted in
+              if d <> d_ref then
+                fail step (Printf.sprintf "decision %d" key) (string_of_bool d)
+                  (string_of_bool d_ref);
+              if d_ref then admitted_at.(i) <- !clock
+              else if not was_waiting then waiting_since.(i) <- !clock
+          | Adm_touch i ->
+              let key = admission_key i in
+              Admission.touch a ~key;
+              Admission_ref.touch r ~key;
+              (* Wrong only while the pool is not admitted, when no
+                 admitted edge exists to aim at. *)
+              admitted_at.(i) <- !clock
+          | Adm_arrivals n ->
+              for _ = 1 to n do
+                Admission.note_arrival a;
+                Admission_ref.note_arrival r
+              done
+          | Adm_drops n ->
+              for _ = 1 to n do
+                Admission.note_drop a;
+                Admission_ref.note_drop r
+              done
+          | Adm_expire ->
+              Admission.expire a;
+              Admission_ref.expire r
+          | Adm_shed ->
+              Admission.shed_waiting a;
+              Admission_ref.shed_waiting r
+          | Adm_advance dt -> clock := !clock +. dt
+          | Adm_edge (i, waiting, d) ->
+              let stamp = if waiting then waiting_since.(i) else admitted_at.(i) in
+              if not (Float.is_nan stamp) then begin
+                let edge = stamp +. Admission.pool_expiry in
                 let target =
                   match d with
-                  | -2 -> edge -. (5e-10 *. (Float.abs ls +. w))
+                  | -2 -> edge -. (5e-10 *. (Float.abs stamp +. Admission.pool_expiry))
                   | -1 -> Float.pred edge
                   | 0 -> edge
                   | _ -> Float.succ edge
                 in
                 if target >= !clock then clock := target
-              end
-          | Op_restart -> t := fresh ());
+              end);
           agree step)
-        s.ops;
+        ops;
       true)
 
 let () =
@@ -1297,6 +1581,8 @@ let () =
           Alcotest.test_case "rates and shares" `Quick test_tracker_rate_and_fair_share;
           Alcotest.test_case "shrinking epoch" `Quick
             test_tracker_shrinking_epoch_expires_earlier;
+          Alcotest.test_case "tick cost independent of table" `Quick
+            test_tracker_tick_cost_independent_of_table;
         ] );
       ( "fair_share",
         [
@@ -1372,5 +1658,6 @@ let () =
             prop_taq_queues_conserve_packets;
             prop_taq_queue_class_lengths_sum;
             prop_tracker_matches_reference;
+            prop_admission_matches_reference;
           ] );
     ]
